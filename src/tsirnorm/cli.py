@@ -2,7 +2,8 @@
 
 Machine output is a single JSON report on stdout (``--json``); the default
 output is the principal value(s) only.  Exit codes: 0 success, 1 certificate
-failure, 2 input error, 3 budget exhausted.
+failure, 2 input error, 3 exact evaluation refused (the message names the
+reason: budget, size-limit or representation).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .witnesses import (
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
 EXIT_INPUT = 2
-EXIT_BUDGET = 3
+EXIT_REFUSED = 3
 
 
 def _base_report(args, started: float, session: EvalSession | None = None) -> dict:
@@ -355,10 +356,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
+        print(f"refused ({exc.reason}): {exc}", file=sys.stderr)
         if exc.lower_bound is not None:
             print(f"best certified lower bound: {exc.lower_bound}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_REFUSED
     except (VectorParseError, PhiParseError, PhiEvalError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -8,7 +8,12 @@ Two families of shortcuts:
 * integer-encoded dynamic programs for the second and third iterates on
   explicit point supports up to a few thousand points (all values are
   numerators over one common denominator, so numpy's int64 max/plus kernels
-  apply whenever a size bound certifies no overflow).
+  apply whenever a size bound certifies no overflow).  Both levels run one
+  max-plus partition kernel, ``_family_dp``: level 2 over the first-iterate
+  table, level 3 over the second-iterate table, which itself runs the kernel
+  once per right end.  The kernel works on the upper triangle in fixed
+  blocks of rows, one numpy add and one row-wise max per block, and checks
+  at every step that no sentinel can meet another sentinel.
 
 Both Schreier maximisers are exact: the objective is piecewise linear in
 their scan parameter, and every breakpoint lands in the enumerated
@@ -40,6 +45,11 @@ LEVEL2_POINT_LIMIT = 2600
 LEVEL3_POINT_LIMIT = 240
 
 _MININT = -(1 << 62)
+
+# Rows per block of the max-plus step in _family_dp.  On the 1459- and
+# 1468-point tables of the (2,2) witness, 32 and 64 rows ran fastest; 16 and
+# 128 were up to 20% slower, 8 and 256 up to 50%.
+_DP_BLOCK_ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +210,24 @@ def level1_runs(runs) -> Fraction:
 # Integer-encoded point tables
 # ---------------------------------------------------------------------------
 
-def _encode(weights: list[Fraction]) -> tuple[list[int], int]:
-    q = 1
-    for w in weights:
-        q = lcm(q, w.denominator)
-    return [int(w * q) for w in weights], q
+def _encode(weights, limit: int, level: int) -> tuple[np.ndarray, int]:
+    """Numerators over the common denominator Q of a support the level DP admits.
 
-
-def _int64_safe(wq: list[int]) -> bool:
-    return 16 * sum(wq) < (1 << 62)
-
-
-def _sup_table(wq: np.ndarray, s: int) -> np.ndarray:
-    sup = np.full((s, s), _MININT, dtype=np.int64)
-    for u in range(s):
-        sup[u, u:] = np.maximum.accumulate(wq[u:])
-    return sup
+    Refuses supports past the point limit, and weights whose numerators could
+    overflow int64: every table value stays below 16 times their sum.
+    """
+    if len(weights) > limit:
+        raise BudgetExceededError(
+            f"support {len(weights)} exceeds level-{level} point limit", reason="size-limit"
+        )
+    q = lcm(*(w.denominator for w in weights))
+    wq = [int(w * q) for w in weights]
+    if 16 * sum(wq) >= 1 << 62:
+        raise BudgetExceededError(
+            "integer encoding exceeds the int64 safety bound for the fast path",
+            reason="representation",
+        )
+    return np.array(wq, dtype=np.int64), q
 
 
 def _g_table(pos: list[int], wq: list[int], s: int, session: EvalSession) -> np.ndarray:
@@ -261,81 +273,56 @@ def _g_table(pos: list[int], wq: list[int], s: int, session: EvalSession) -> np.
 
 
 def _level1_table(pos, wq_arr, s, session) -> np.ndarray:
-    """L1[u, c]: first-iterate value of points u..c, numerator over 2Q."""
-    g = _g_table(pos, [int(v) for v in wq_arr], s, session)
-    sch = np.maximum.accumulate(g[::-1, :], axis=0)[::-1, :]
-    sup = _sup_table(wq_arr, s)
-    l1 = np.maximum(2 * sup, sch)
-    l1[np.tril_indices(s, -1)] = _MININT
+    """L1[u, c]: first-iterate value of points u..c, numerator over 2Q.
+
+    L1[u, c] = max over t in u..c of max(2 w[t], G[t, c]): either the sup
+    part at one point or a Schreier family whose first point is t.  Built in
+    place in the G table, one row at a time from the bottom; the lower
+    triangle keeps G's sentinel.
+    """
+    l1 = _g_table(pos, [int(v) for v in wq_arr], s, session)
+    for u in range(s - 1, -1, -1):
+        row = l1[u, u:]
+        np.maximum(row, 2 * wq_arr[u], out=row)
+        if u + 1 < s:
+            np.maximum(row, l1[u + 1, u:], out=row)
     return l1
 
 
-def _suffix_partition_dp(table: np.ndarray, s: int, m_caps: list[int],
-                         session: EvalSession) -> int:
-    """max over t of the best cover of points t..s-1 by M(t) groups.
+def _family_dp(table: np.ndarray, n: int, pos, session: EvalSession) -> np.ndarray:
+    """Family numerators for all starts, families covering points t..n-1.
 
-    ``table[u, c]`` is the group value for points u..c; returns the best
-    family numerator (same denominator as the table), or MININT if no start
-    admits two or more groups.
+    ``table[u, c]`` is the group value of points u..c (sentinel below the
+    diagonal).  Returns fam[t] = best cover of points t..n-1 by
+    min(pos[t], n-t) groups, in the table's denominator, or MININT where
+    fewer than two groups are admissible.  Step r adds one leading group to
+    the (r-1)-group covers: cur[u] = max over c of table[u, c] + prev[c+1],
+    evaluated in row blocks so that each block is one add and one max.
     """
-    by_r: dict[int, list[int]] = {}
-    for t, cap in enumerate(m_caps):
-        if cap >= 2:
-            by_r.setdefault(cap, []).append(t)
-    if not by_r:
-        return _MININT
-    rmax = max(by_r)
-    best = _MININT
-    prev = table[:, s - 1].copy()
-    for r in range(2, rmax + 1):
-        cur = np.full(s, _MININT, dtype=np.int64)
-        hi = s - r  # last allowed end of the first group
-        if hi < 0:
-            break
-        session.charge((hi + 1) * (hi + 2) // 2, "dp_transitions")
-        for u in range(hi + 1):
-            cur[u] = np.max(table[u, u:hi + 1] + prev[u + 1:hi + 2])
-        for t in by_r.get(r, ()):
-            if cur[t] > best:
-                best = int(cur[t])
-        prev = cur
-    return best
-
-
-def _end_partition_dp(table: np.ndarray, b: int, pos, session: EvalSession) -> np.ndarray:
-    """Family numerators for all starts, families covering t..b.
-
-    Returns fam[t] = best cover of points t..b by min(pos[t], b-t+1) groups
-    (MININT where fewer than two groups are admissible).
-    """
-    m_caps = [min(pos[t], b - t + 1) for t in range(b + 1)]
-    fam = np.full(b + 1, _MININT, dtype=np.int64)
-    rmax = 0
-    for cap in m_caps:
-        rmax = max(rmax, cap)
+    caps = np.array([min(p, n - t) for t, p in enumerate(pos[:n])], dtype=np.int64)
+    fam = np.full(n, _MININT, dtype=np.int64)
+    rmax = int(caps.max(initial=0))
     if rmax < 2:
         return fam
-    prev = table[:b + 1, b].copy()
+    prev = table[:n, n - 1].copy()
+    cur = np.empty(n, dtype=np.int64)
+    buf = np.empty((_DP_BLOCK_ROWS, n), dtype=np.int64)
     for r in range(2, rmax + 1):
-        hi = b - r + 1
-        if hi < 0:
-            break
-        cur = np.full(b + 1, _MININT, dtype=np.int64)
+        hi = n - r  # last allowed end of the first group
         session.charge((hi + 1) * (hi + 2) // 2, "dp_transitions")
-        for u in range(hi + 1):
-            cur[u] = np.max(table[u, u:hi + 1] + prev[u + 1:hi + 2])
-        for t in range(hi + 1):
-            if m_caps[t] == r and cur[t] > fam[t]:
-                fam[t] = cur[t]
-        prev = cur
+        # Every read of prev must be a real cover.  A sentinel is then only
+        # ever added to a real value, so the sum stays inside int64 and below
+        # every real value.
+        if prev[1:hi + 2].min() == _MININT:
+            raise RuntimeError(f"sentinel in the {r - 1}-group covers of the partition DP")
+        for u0 in range(0, hi + 1, _DP_BLOCK_ROWS):
+            u1 = min(u0 + _DP_BLOCK_ROWS, hi + 1)
+            block = buf[:u1 - u0, :hi + 1 - u0]
+            np.add(table[u0:u1, u0:hi + 1], prev[u0 + 1:hi + 2], out=block)
+            block.max(axis=1, out=cur[u0:u1])
+        np.copyto(fam, cur, where=caps == r)
+        prev, cur = cur, prev
     return fam
-
-
-def _require_int64(wq: list[int]) -> None:
-    if not _int64_safe(wq):
-        raise BudgetExceededError(
-            "integer encoding exceeds the int64 safety bound for the fast path"
-        )
 
 
 def level2_top_points(pos: list[int], weights: list[Fraction],
@@ -344,28 +331,24 @@ def level2_top_points(pos: list[int], weights: list[Fraction],
     s = len(pos)
     if s == 0:
         return Fraction(0)
-    if s > LEVEL2_POINT_LIMIT:
-        raise BudgetExceededError(f"support {s} exceeds level-2 point limit")
+    wq_arr, q = _encode(weights, LEVEL2_POINT_LIMIT, 2)
     session = session or EvalSession()
-    wq, q = _encode(weights)
-    _require_int64(wq)
-    wq_arr = np.array(wq, dtype=np.int64)
     l1 = _level1_table(pos, wq_arr, s, session)
-    m_caps = [min(pos[t], s - t) for t in range(s)]
-    fam = _suffix_partition_dp(l1, s, m_caps, session)
-    sup_num = 4 * max(wq)
-    return Fraction(int(max(sup_num, fam)), 4 * q)
+    fam = _family_dp(l1, s, pos, session)
+    return Fraction(int(max(4 * wq_arr.max(), fam.max())), 4 * q)
 
 
-def _level2_table(pos, wq_arr, s, q, session) -> np.ndarray:
-    """L2[u, b]: second-iterate value of points u..b, numerator over 4Q."""
+def _level2_table(pos, wq_arr, s, session) -> np.ndarray:
+    """L2[u, b]: second-iterate value of points u..b, numerator over 4Q.
+
+    L2[u, b] = max over t in u..b of max(4 w[t], fam_b[t]), with fam_b the
+    family numerators of the points up to b.
+    """
     l1 = _level1_table(pos, wq_arr, s, session)
-    sup = _sup_table(wq_arr, s)
     l2 = np.full((s, s), _MININT, dtype=np.int64)
     for b in range(s):
-        fam = _end_partition_dp(l1, b, pos, session)
-        col = np.maximum.accumulate(fam[::-1])[::-1]
-        l2[:b + 1, b] = np.maximum(4 * sup[:b + 1, b], col)
+        best = np.maximum(_family_dp(l1, b + 1, pos, session), 4 * wq_arr[:b + 1])
+        l2[:b + 1, b] = np.maximum.accumulate(best[::-1])[::-1]
     return l2
 
 
@@ -375,14 +358,8 @@ def level3_top_points(pos: list[int], weights: list[Fraction],
     s = len(pos)
     if s == 0:
         return Fraction(0)
-    if s > LEVEL3_POINT_LIMIT:
-        raise BudgetExceededError(f"support {s} exceeds level-3 point limit")
+    wq_arr, q = _encode(weights, LEVEL3_POINT_LIMIT, 3)
     session = session or EvalSession()
-    wq, q = _encode(weights)
-    _require_int64(wq)
-    wq_arr = np.array(wq, dtype=np.int64)
-    l2 = _level2_table(pos, wq_arr, s, q, session)
-    m_caps = [min(pos[t], s - t) for t in range(s)]
-    fam = _suffix_partition_dp(l2, s, m_caps, session)
-    sup_num = 8 * max(wq)
-    return Fraction(int(max(sup_num, fam)), 8 * q)
+    l2 = _level2_table(pos, wq_arr, s, session)
+    fam = _family_dp(l2, s, pos, session)
+    return Fraction(int(max(8 * wq_arr.max(), fam.max())), 8 * q)

@@ -153,6 +153,7 @@ def iterate_norm(x: FiniteVector, k: int, rule: AdmissibilityRule = _FJ,
     raise BudgetExceededError(
         f"no exact path for level {k} at support size {size}",
         lower_bound=cheap_lower_bound(x, k, rule),
+        reason="size-limit",
     )
 
 
@@ -169,6 +170,7 @@ def tsirelson_norm(x: FiniteVector, rule: AdmissibilityRule = _FJ,
     raise BudgetExceededError(
         f"no exact limit path at support size {size}",
         lower_bound=cheap_lower_bound(x, None, rule),
+        reason="size-limit",
     )
 
 
@@ -186,6 +188,7 @@ def stabilization_level(x: FiniteVector, rule: AdmissibilityRule = _FJ,
         raise BudgetExceededError(
             f"no exact limit path at support size {size}",
             lower_bound=cheap_lower_bound(x, None, rule),
+            reason="size-limit",
         )
     pos, w = _abs_points(x)
     evaluator = SmallEvaluator(pos, w, rule, session or EvalSession())

@@ -7,16 +7,27 @@ from fractions import Fraction
 __all__ = ["EvalSession", "BudgetExceededError"]
 
 
+_REFUSAL_REASONS = ("budget", "size-limit", "representation")
+
+
 class BudgetExceededError(Exception):
-    """The evaluation budget ran out.
+    """An exact evaluation was refused.
+
+    ``reason`` names the cause: ``budget`` (the work budget ran out),
+    ``size-limit`` (the support is too large for every exact path) or
+    ``representation`` (the numbers do not fit the path's encoding).
 
     Carries the best certified lower bound found before giving up; the bound
     is a true lower bound, never an approximation of the exact value.
     """
 
-    def __init__(self, message: str, lower_bound: Fraction | None = None):
+    def __init__(self, message: str, lower_bound: Fraction | None = None, *,
+                 reason: str):
+        if reason not in _REFUSAL_REASONS:
+            raise ValueError(f"unknown refusal reason {reason!r}")
         super().__init__(message)
         self.lower_bound = lower_bound
+        self.reason = reason
 
 
 class EvalSession:
@@ -58,6 +69,7 @@ class EvalSession:
             raise BudgetExceededError(
                 f"work budget of {self.budget} units exhausted",
                 lower_bound=self._best_lower,
+                reason="budget",
             )
 
     def reset(self) -> None:

@@ -250,6 +250,16 @@ def base_witness(n: int, start: int = 1, session: EvalSession | None = None) -> 
     return witness
 
 
+def _exact_iterate(x: FiniteVector, k: int, session: EvalSession, name: str) -> Fraction:
+    """k-th iterate of x for certificate line ``name``; a refusal names the line."""
+    try:
+        return iterate_norm(x, k, _FJ, session)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"{name} not exactly verifiable: {exc}", exc.lower_bound, reason=exc.reason
+        ) from exc
+
+
 def inductive_witness(k: int, n: int, start: int = 1,
                       session: EvalSession | None = None) -> Witness:
     """Level-k witness: parts with k-th iterate exactly 1/2 on successive
@@ -274,12 +284,7 @@ def inductive_witness(k: int, n: int, start: int = 1,
     for i in range(1, n + 1):
         inner = inductive_witness(k - 1, n, start=window_start, session=session)
         y = inner.sum
-        try:
-            y_up = iterate_norm(y, k, _FJ, session)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(
-                f"|y_{i}|_{k} not exactly verifiable: {exc}", exc.lower_bound
-            ) from exc
+        y_up = _exact_iterate(y, k, session, f"|y_{i}|_{k}")
         z = y.scale(Fraction(1, 2) / y_up)
         starts.append(window_start)
         zs.append(z)
@@ -292,23 +297,13 @@ def inductive_witness(k: int, n: int, start: int = 1,
     lines: list[CertificateLine] = []
     half = Fraction(1, 2)
     for i, z in enumerate(zs, start=1):
-        try:
-            value = iterate_norm(z, k, _FJ, session)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(
-                f"|z_{i}|_{k} not exactly verifiable: {exc}", exc.lower_bound
-            ) from exc
+        value = _exact_iterate(z, k, session, f"|z_{i}|_{k}")
         lines.append(CertificateLine(
             f"|z_{i}|_{k}", value, "=", half, "exact", value == half,
             ("engine", "rescale-arithmetic"),
         ))
 
-    try:
-        sum_value = iterate_norm(total, k, _FJ, session)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"|z|_{k} not exactly verifiable: {exc}", exc.lower_bound
-        ) from exc
+    sum_value = _exact_iterate(total, k, session, f"|z|_{k}")
     checks = ["engine"]
     if n * half <= 1:
         # Subadditivity caps the sum at n/2; an independent route to <= 1.

@@ -40,6 +40,21 @@ class TestNorm:
         code, _, err = run(capsys, "norm", "--spec", "iterate:2",
                            "1000000..1999999:1/1000000")
         assert code == 3 and "lower bound" in err
+        assert "size-limit" in err
+
+    def test_int64_refusal_names_representation(self, capsys):
+        # 100 points i+2 : 1/p_i (p_i the i-th prime): far below the level-2
+        # point limit, but the common denominator overflows int64.
+        primes = [p for p in range(2, 600) if all(p % d for d in range(2, p))][:100]
+        vector = ",".join(f"{i + 2}:1/{p}" for i, p in enumerate(primes))
+        code, _, err = run(capsys, "norm", "--spec", "iterate:2", vector)
+        assert code == 3 and "representation" in err
+        assert "budget" not in err
+
+    def test_work_budget_refusal_names_budget(self, capsys):
+        code, _, err = run(capsys, "norm", "--spec", "tsirelson", "--budget", "5",
+                           "2:1,3:1,4:1,5:1")
+        assert code == 3 and "refused (budget)" in err
 
 
 class TestWitness:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,17 @@ class TestFastPathAgreement:
             assert fastpaths.level2_top_points(list(pos), list(w)) == se.iterate(2)
             assert fastpaths.level3_top_points(list(pos), list(w)) == se.iterate(3)
 
+    def test_supports_past_cutoff_cross_row_blocks(self, rng):
+        # 29-40 points: past the small-support cutoff, and more rows than one
+        # block of the partition kernel.
+        for _ in range(4):
+            size = rng.randint(29, 40)
+            pos = sorted(rng.sample(range(2, 2 * size), size))
+            w = [F(1, rng.randint(1, 12)) for _ in pos]
+            se = SmallEvaluator(pos, w, FJ)
+            assert fastpaths.level2_top_points(pos, w) == se.iterate(2)
+            assert fastpaths.level3_top_points(pos, w) == se.iterate(3)
+
     def test_schreier_scans_agree_exhaustively(self, rng):
         for _ in range(60):
             m = rng.randint(1, 5)
@@ -127,6 +139,54 @@ class TestFastPathAgreement:
                     best = g
             assert fastpaths.schreier_max_runs(runs) == best
             assert fastpaths.schreier_max_runs_alt(runs) == best
+
+
+def per_row_family_dp(table, n, pos, session):
+    """The partition recurrence one row and one column at a time."""
+    caps = [min(pos[t], n - t) for t in range(n)]
+    fam = [fastpaths._MININT] * n
+    rmax = max(caps)
+    if rmax < 2:
+        return fam
+    prev = [table[u][n - 1] for u in range(n)]
+    for r in range(2, rmax + 1):
+        hi = n - r
+        session.charge((hi + 1) * (hi + 2) // 2, "dp_transitions")
+        cur = [max(table[u][c] + prev[c + 1] for c in range(u, hi + 1))
+               for u in range(hi + 1)]
+        for t in range(hi + 1):
+            if caps[t] == r:
+                fam[t] = cur[t]
+        prev = cur
+    return fam
+
+
+def random_group_table(rng, n):
+    """Upper-triangular int64 group values, sentinel below the diagonal."""
+    table = np.full((n, n), fastpaths._MININT, dtype=np.int64)
+    for u in range(n):
+        for c in range(u, n):
+            table[u, c] = rng.randint(0, 10 ** 6)
+    return table
+
+
+class TestFamilyKernel:
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 65, 97])
+    def test_matches_per_row_recurrence(self, rng, n):
+        for pos in ([rng.randint(1, n + 2) for _ in range(n)], list(range(n, 2 * n))):
+            table = random_group_table(rng, n)
+            session, ref_session = EvalSession(), EvalSession()
+            fam = fastpaths._family_dp(table, n, pos, session)
+            expected = per_row_family_dp(table.tolist(), n, pos, ref_session)
+            assert fam.tolist() == expected
+            assert session.stats == ref_session.stats
+
+    def test_sentinel_in_covers_is_refused(self, rng):
+        n = 40
+        table = random_group_table(rng, n)
+        table[n // 2, n - 1] = fastpaths._MININT
+        with pytest.raises(RuntimeError, match="sentinel"):
+            fastpaths._family_dp(table, n, list(range(n, 2 * n)), EvalSession())
 
 
 class TestInvariants:
@@ -209,6 +269,7 @@ class TestNormSpecs:
         with pytest.raises(BudgetExceededError) as err:
             iterate_norm(x, 2, FJ)
         assert err.value.lower_bound >= F(1, 2)
+        assert err.value.reason == "size-limit"
 
     def test_session_stats_populated(self):
         session = EvalSession()
