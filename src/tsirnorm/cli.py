@@ -3,7 +3,8 @@
 Machine output is a single JSON report on stdout (``--json``); the default
 output is the principal value(s) only.  Exit codes: 0 success, 1 certificate
 failure, 2 input error, 3 exact evaluation refused (the message names the
-reason: budget, size-limit or representation).
+reason: budget, size-limit or representation; under ``--json`` a
+``refused`` object carries it on stdout too).
 """
 
 from __future__ import annotations
@@ -272,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="work-unit budget for exact evaluation")
         sub.add_argument("--seed", type=int, default=0,
                          help="seed for randomised candidate pools")
-        sub.add_argument("--jobs", type=int, default=1,
-                         help="parallelism hint; results are identical for any value")
         sub.add_argument("--json", action="store_true",
                          help="emit the full JSON report on stdout")
 
@@ -357,8 +356,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"refused ({exc.reason}): {exc}", file=sys.stderr)
-        if exc.lower_bound is not None:
-            print(f"best certified lower bound: {exc.lower_bound}", file=sys.stderr)
+        lower = None if exc.lower_bound is None else str(exc.lower_bound)
+        if lower is not None:
+            print(f"best certified lower bound: {lower}", file=sys.stderr)
+        if args.json:
+            _emit(args, {"command": args.command, "refused": {
+                "reason": exc.reason, "message": str(exc), "lower_bound": lower}}, "")
         return EXIT_REFUSED
     except (VectorParseError, PhiParseError, PhiEvalError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

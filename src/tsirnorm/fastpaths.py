@@ -7,8 +7,9 @@ Two families of shortcuts:
   work is polynomial in the number of runs);
 * integer-encoded dynamic programs for the second and third iterates on
   explicit point supports up to a few thousand points (all values are
-  numerators over one common denominator, so numpy's int64 max/plus kernels
-  apply whenever a size bound certifies no overflow).  Both levels run one
+  numerators over one common denominator, so numpy's max/plus kernels apply
+  in the narrowest certified width, int32 or int64, that a size bound on the
+  numerators proves free of overflow).  Both levels run one
   max-plus partition kernel, ``_family_dp``: level 2 over the first-iterate
   table, level 3 over the second-iterate table, which itself runs the kernel
   once per right end.  The kernel works on the upper triangle in fixed
@@ -44,12 +45,16 @@ __all__ = [
 LEVEL2_POINT_LIMIT = 2600
 LEVEL3_POINT_LIMIT = 240
 
-_MININT = -(1 << 62)
+# Rows per block of the max-plus step in _family_dp.  On the int32 tables of
+# the (2,2) witness (1459 and 1468 points, one 2-vCPU host), one kernel call
+# took 0.53-0.70 s at 64 rows, 0.55-0.59 s at 128, 0.61-0.78 s at 32 and
+# 0.73-0.89 s at 16; the same tables in int64 took 1.0-1.3 s at 32 or 64.
+_DP_BLOCK_ROWS = 64
 
-# Rows per block of the max-plus step in _family_dp.  On the 1459- and
-# 1468-point tables of the (2,2) witness, 32 and 64 rows ran fastest; 16 and
-# 128 were up to 20% slower, 8 and 256 up to 50%.
-_DP_BLOCK_ROWS = 32
+
+def _sentinel(dtype) -> int:
+    """Below every real table value; a sentinel plus a real value still fits."""
+    return int(np.iinfo(dtype).min // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +218,11 @@ def level1_runs(runs) -> Fraction:
 def _encode(weights, limit: int, level: int) -> tuple[np.ndarray, int]:
     """Numerators over the common denominator Q of a support the level DP admits.
 
-    Refuses supports past the point limit, and weights whose numerators could
-    overflow int64: every table value stays below 16 times their sum.
+    Every table value stays below 16 times the numerators' sum, so the array
+    takes the narrowest certified width: int32 when that bound is below 2**30
+    (half the dtype's minimum is the sentinel, so a sentinel plus a real value
+    stays representable), else int64 below 2**62.  Refuses supports past the
+    point limit, and numerators too large for int64.
     """
     if len(weights) > limit:
         raise BudgetExceededError(
@@ -222,53 +230,43 @@ def _encode(weights, limit: int, level: int) -> tuple[np.ndarray, int]:
         )
     q = lcm(*(w.denominator for w in weights))
     wq = [int(w * q) for w in weights]
-    if 16 * sum(wq) >= 1 << 62:
+    bound = 16 * sum(wq)
+    if bound >= 1 << 62:
         raise BudgetExceededError(
             "integer encoding exceeds the int64 safety bound for the fast path",
             reason="representation",
         )
-    return np.array(wq, dtype=np.int64), q
+    return np.array(wq, dtype=np.int32 if bound < 1 << 30 else np.int64), q
 
 
-def _g_table(pos: list[int], wq: list[int], s: int, session: EvalSession) -> np.ndarray:
+def _g_table(pos: list[int], wq_arr: np.ndarray, s: int, session: EvalSession) -> np.ndarray:
     """G[t, c] = sum of the min(pos[t], c-t+1) largest weights among points t..c."""
     session.charge(s * (s + 1) // 2, "tables_built")
-    values = sorted(set(wq))
+    values = sorted(set(wq_arr.tolist()))
     class_of = {v: i for i, v in enumerate(values)}
-    ncls = len(values)
-    g = np.full((s, s), _MININT, dtype=np.int64)
+    classes = [class_of[v] for v in wq_arr.tolist()]
+    g = np.full((s, s), _sentinel(wq_arr.dtype), dtype=wq_arr.dtype)
     for t in range(s):
-        cap = pos[t]
-        if cap >= s - t:
-            # Never clipped: plain running sums.
-            acc = 0
-            for c in range(t, s):
-                acc += wq[c]
-                g[t, c] = acc
+        # Fill phase, the whole row if it is never clipped: running sums.
+        m = min(pos[t], s - t)
+        np.cumsum(wq_arr[t:t + m], out=g[t, t:t + m])
+        if m == s - t:
             continue
-        acc = 0
-        window_counts = [0] * ncls
-        # Fill phase: window no larger than the cap.
-        for c in range(t, t + cap):
-            acc += wq[c]
-            window_counts[class_of[wq[c]]] += 1
-            g[t, c] = acc
-        # Maintenance phase: keep the top-cap multiset as the window grows.
-        counts = window_counts
-        ptr = 0
-        while ptr < ncls and counts[ptr] == 0:
-            ptr += 1
-        gsum = acc
-        for c in range(t + cap, s):
-            v = wq[c]
-            ci = class_of[v]
+        # Maintenance phase: keep the top-m multiset as the window grows; ptr
+        # is the class of its smallest member.
+        counts = np.bincount(classes[t:t + m], minlength=len(values)).tolist()
+        ptr = min(classes[t:t + m])
+        gsum = int(g[t, t + m - 1])
+        row = []
+        for ci in classes[t + m:]:
             if ci > ptr:
-                gsum += v - values[ptr]
+                gsum += values[ci] - values[ptr]
                 counts[ci] += 1
                 counts[ptr] -= 1
                 while counts[ptr] == 0:
                     ptr += 1
-            g[t, c] = gsum
+            row.append(gsum)
+        g[t, t + m:] = row
     return g
 
 
@@ -280,7 +278,7 @@ def _level1_table(pos, wq_arr, s, session) -> np.ndarray:
     place in the G table, one row at a time from the bottom; the lower
     triangle keeps G's sentinel.
     """
-    l1 = _g_table(pos, [int(v) for v in wq_arr], s, session)
+    l1 = _g_table(pos, wq_arr, s, session)
     for u in range(s - 1, -1, -1):
         row = l1[u, u:]
         np.maximum(row, 2 * wq_arr[u], out=row)
@@ -294,26 +292,28 @@ def _family_dp(table: np.ndarray, n: int, pos, session: EvalSession) -> np.ndarr
 
     ``table[u, c]`` is the group value of points u..c (sentinel below the
     diagonal).  Returns fam[t] = best cover of points t..n-1 by
-    min(pos[t], n-t) groups, in the table's denominator, or MININT where
-    fewer than two groups are admissible.  Step r adds one leading group to
-    the (r-1)-group covers: cur[u] = max over c of table[u, c] + prev[c+1],
-    evaluated in row blocks so that each block is one add and one max.
+    min(pos[t], n-t) groups, in the table's denominator and dtype, or the
+    sentinel where fewer than two groups are admissible.  Step r adds one
+    leading group to the (r-1)-group covers: cur[u] = max over c of
+    table[u, c] + prev[c+1], evaluated in row blocks so that each block is
+    one add and one max.
     """
+    sentinel = _sentinel(table.dtype)
     caps = np.array([min(p, n - t) for t, p in enumerate(pos[:n])], dtype=np.int64)
-    fam = np.full(n, _MININT, dtype=np.int64)
+    fam = np.full(n, sentinel, dtype=table.dtype)
     rmax = int(caps.max(initial=0))
     if rmax < 2:
         return fam
     prev = table[:n, n - 1].copy()
-    cur = np.empty(n, dtype=np.int64)
-    buf = np.empty((_DP_BLOCK_ROWS, n), dtype=np.int64)
+    cur = np.empty(n, dtype=table.dtype)
+    buf = np.empty((_DP_BLOCK_ROWS, n), dtype=table.dtype)
     for r in range(2, rmax + 1):
         hi = n - r  # last allowed end of the first group
         session.charge((hi + 1) * (hi + 2) // 2, "dp_transitions")
         # Every read of prev must be a real cover.  A sentinel is then only
-        # ever added to a real value, so the sum stays inside int64 and below
-        # every real value.
-        if prev[1:hi + 2].min() == _MININT:
+        # ever added to a real value, so the sum stays inside the table's
+        # certified width (see _encode) and below every real value.
+        if prev[1:hi + 2].min() == sentinel:
             raise RuntimeError(f"sentinel in the {r - 1}-group covers of the partition DP")
         for u0 in range(0, hi + 1, _DP_BLOCK_ROWS):
             u1 = min(u0 + _DP_BLOCK_ROWS, hi + 1)
@@ -345,7 +345,7 @@ def _level2_table(pos, wq_arr, s, session) -> np.ndarray:
     family numerators of the points up to b.
     """
     l1 = _level1_table(pos, wq_arr, s, session)
-    l2 = np.full((s, s), _MININT, dtype=np.int64)
+    l2 = np.full_like(l1, _sentinel(l1.dtype))
     for b in range(s):
         best = np.maximum(_family_dp(l1, b + 1, pos, session), 4 * wq_arr[:b + 1])
         l2[:b + 1, b] = np.maximum.accumulate(best[::-1])[::-1]

@@ -12,6 +12,7 @@ for every operation.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -269,7 +270,8 @@ class IndexSet:
         return len(self.indices)
 
     def __contains__(self, i):
-        return i in set(self.indices)
+        k = bisect_left(self.indices, i)
+        return k < len(self.indices) and self.indices[k] == i
 
     def __eq__(self, other):
         return isinstance(other, IndexSet) and self.indices == other.indices

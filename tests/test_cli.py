@@ -4,6 +4,11 @@ import pytest
 
 from tsirnorm.cli import main
 
+# 100 points i+2 : 1/p_i (p_i the i-th prime): far below the level-2 point
+# limit, but the common denominator overflows int64.
+PRIMES = [p for p in range(2, 600) if all(p % d for d in range(2, p))][:100]
+PRIME_VECTOR = ",".join(f"{i + 2}:1/{p}" for i, p in enumerate(PRIMES))
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -43,11 +48,7 @@ class TestNorm:
         assert "size-limit" in err
 
     def test_int64_refusal_names_representation(self, capsys):
-        # 100 points i+2 : 1/p_i (p_i the i-th prime): far below the level-2
-        # point limit, but the common denominator overflows int64.
-        primes = [p for p in range(2, 600) if all(p % d for d in range(2, p))][:100]
-        vector = ",".join(f"{i + 2}:1/{p}" for i, p in enumerate(primes))
-        code, _, err = run(capsys, "norm", "--spec", "iterate:2", vector)
+        code, _, err = run(capsys, "norm", "--spec", "iterate:2", PRIME_VECTOR)
         assert code == 3 and "representation" in err
         assert "budget" not in err
 
@@ -55,6 +56,23 @@ class TestNorm:
         code, _, err = run(capsys, "norm", "--spec", "tsirelson", "--budget", "5",
                            "2:1,3:1,4:1,5:1")
         assert code == 3 and "refused (budget)" in err
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("--spec", "iterate:2", "1000000..1999999:1/1000000"), "size-limit"),
+        (("--spec", "iterate:2", PRIME_VECTOR), "representation"),
+        (("--spec", "tsirelson", "--budget", "5", "2:1,3:1,4:1,5:1"), "budget"),
+    ])
+    def test_json_refusal_report(self, capsys, argv, reason):
+        code, out, err = run(capsys, "norm", *argv)
+        code_json, out_json, err_json = run(capsys, "norm", *argv, "--json")
+        assert code == code_json == 3 and out == "" and err_json == err
+        report = json.loads(out_json)
+        assert report["command"] == "norm"
+        refused = report["refused"]
+        assert refused["reason"] == reason and refused["message"] in err
+        assert (refused["lower_bound"] is None) == ("lower bound" not in err)
+        if refused["lower_bound"] is not None:
+            assert f"best certified lower bound: {refused['lower_bound']}" in err
 
 
 class TestWitness:

@@ -121,6 +121,24 @@ class TestFastPathAgreement:
             assert fastpaths.level2_top_points(pos, w) == se.iterate(2)
             assert fastpaths.level3_top_points(pos, w) == se.iterate(3)
 
+    @pytest.mark.parametrize("total, dtype", [
+        ((1 << 26) - 1, np.int32), (1 << 26, np.int64), ((1 << 26) + 5, np.int64),
+    ])
+    def test_int_width_boundary_matches_generic(self, rng, total, dtype):
+        # Numerators summing to `total` put 16 * sum just below, at and just
+        # above 2**30, the last int32 encoding and the first int64 ones.
+        q = (1 << 31) - 1  # prime: every weight k/q keeps the denominator q
+        for _ in range(2):
+            size = rng.randint(29, 40)
+            pos = sorted(rng.sample(range(2, 2 * size), size))
+            cuts = sorted(rng.sample(range(1, total), size - 1))
+            w = [F(b - a, q) for a, b in zip([0] + cuts, cuts + [total])]
+            wq_arr, denominator = fastpaths._encode(w, fastpaths.LEVEL3_POINT_LIMIT, 3)
+            assert (wq_arr.dtype, denominator, int(wq_arr.sum())) == (dtype, q, total)
+            se = SmallEvaluator(pos, w, FJ)
+            assert fastpaths.level2_top_points(pos, w) == se.iterate(2)
+            assert fastpaths.level3_top_points(pos, w) == se.iterate(3)
+
     def test_schreier_scans_agree_exhaustively(self, rng):
         for _ in range(60):
             m = rng.randint(1, 5)
@@ -141,10 +159,17 @@ class TestFastPathAgreement:
             assert fastpaths.schreier_max_runs_alt(runs) == best
 
 
-def per_row_family_dp(table, n, pos, session):
+WIDTHS = (np.int32, np.int64)
+
+
+def sentinel_of(dtype):
+    return int(np.iinfo(dtype).min // 2)
+
+
+def per_row_family_dp(table, n, pos, session, sentinel):
     """The partition recurrence one row and one column at a time."""
     caps = [min(pos[t], n - t) for t in range(n)]
-    fam = [fastpaths._MININT] * n
+    fam = [sentinel] * n
     rmax = max(caps)
     if rmax < 2:
         return fam
@@ -161,9 +186,46 @@ def per_row_family_dp(table, n, pos, session):
     return fam
 
 
-def random_group_table(rng, n):
-    """Upper-triangular int64 group values, sentinel below the diagonal."""
-    table = np.full((n, n), fastpaths._MININT, dtype=np.int64)
+def per_element_g_table(pos, wq, s, sentinel):
+    """G table one element at a time, keeping the top-cap multiset by class."""
+    values = sorted(set(wq))
+    class_of = {v: i for i, v in enumerate(values)}
+    ncls = len(values)
+    g = [[sentinel] * s for _ in range(s)]
+    for t in range(s):
+        cap = pos[t]
+        if cap >= s - t:
+            acc = 0
+            for c in range(t, s):
+                acc += wq[c]
+                g[t][c] = acc
+            continue
+        acc = 0
+        counts = [0] * ncls
+        for c in range(t, t + cap):
+            acc += wq[c]
+            counts[class_of[wq[c]]] += 1
+            g[t][c] = acc
+        ptr = 0
+        while ptr < ncls and counts[ptr] == 0:
+            ptr += 1
+        gsum = acc
+        for c in range(t + cap, s):
+            v = wq[c]
+            ci = class_of[v]
+            if ci > ptr:
+                gsum += v - values[ptr]
+                counts[ci] += 1
+                counts[ptr] -= 1
+                while counts[ptr] == 0:
+                    ptr += 1
+            g[t][c] = gsum
+    return g
+
+
+def random_group_table(rng, n, dtype):
+    """Upper-triangular group values, the dtype's sentinel below the diagonal."""
+    table = np.full((n, n), sentinel_of(dtype), dtype=dtype)
     for u in range(n):
         for c in range(u, n):
             table[u, c] = rng.randint(0, 10 ** 6)
@@ -171,22 +233,40 @@ def random_group_table(rng, n):
 
 
 class TestFamilyKernel:
-    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 65, 97])
+    # Each test runs on both table widths.
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 97, 129])
     def test_matches_per_row_recurrence(self, rng, n):
-        for pos in ([rng.randint(1, n + 2) for _ in range(n)], list(range(n, 2 * n))):
-            table = random_group_table(rng, n)
-            session, ref_session = EvalSession(), EvalSession()
-            fam = fastpaths._family_dp(table, n, pos, session)
-            expected = per_row_family_dp(table.tolist(), n, pos, ref_session)
-            assert fam.tolist() == expected
-            assert session.stats == ref_session.stats
+        for dtype in WIDTHS:
+            for pos in ([rng.randint(1, n + 2) for _ in range(n)], list(range(n, 2 * n))):
+                table = random_group_table(rng, n, dtype)
+                session, ref_session = EvalSession(), EvalSession()
+                fam = fastpaths._family_dp(table, n, pos, session)
+                expected = per_row_family_dp(table.tolist(), n, pos, ref_session,
+                                             sentinel_of(dtype))
+                assert fam.dtype == dtype
+                assert fam.tolist() == expected
+                assert session.stats == ref_session.stats
 
     def test_sentinel_in_covers_is_refused(self, rng):
         n = 40
-        table = random_group_table(rng, n)
-        table[n // 2, n - 1] = fastpaths._MININT
-        with pytest.raises(RuntimeError, match="sentinel"):
-            fastpaths._family_dp(table, n, list(range(n, 2 * n)), EvalSession())
+        for dtype in WIDTHS:
+            table = random_group_table(rng, n, dtype)
+            table[n // 2, n - 1] = sentinel_of(dtype)
+            with pytest.raises(RuntimeError, match="sentinel"):
+                fastpaths._family_dp(table, n, list(range(n, 2 * n)), EvalSession())
+
+    @pytest.mark.parametrize("s", [1, 7, 40, 90])
+    def test_g_table_matches_per_element_loop(self, rng, s):
+        # Small first indices clip the early rows; weights repeat but take
+        # many distinct values.
+        for dtype in WIDTHS:
+            pos = sorted(rng.sample(range(1, s + 6), s))
+            wq = [rng.randint(1, 40) for _ in range(s)]
+            session = EvalSession()
+            g = fastpaths._g_table(pos, np.array(wq, dtype=dtype), s, session)
+            assert g.dtype == dtype
+            assert g.tolist() == per_element_g_table(pos, wq, s, sentinel_of(dtype))
+            assert session.stats["tables_built"] == s * (s + 1) // 2
 
 
 class TestInvariants:

@@ -86,6 +86,13 @@ class TestOperations:
         with pytest.raises(ValueError):
             precedes(IndexSet([]), IndexSet([1]))
 
+    def test_index_set_membership(self):
+        members = [2, 3, 7, 40]
+        s = IndexSet(reversed(members))
+        for i in range(0, 45):
+            assert (i in s) == (i in members)
+        assert 1 not in IndexSet([])
+
     def test_normalize_examples(self):
         assert normalize_l1(vec({2: 1, 3: 1})) == vec({2: F(1, 2), 3: F(1, 2)})
         assert normalize_l1(vec({5: -4})) == vec({5: -1})
