@@ -36,5 +36,5 @@ print("value at target sup:", eval_phi(expr, Sup(), ctx))
 # Realizers walk the expression and combine registered norms with joins so
 # the achieved value approaches the maximum possible one; when every atom
 # names the same norm the maximum is hit exactly.
-result = approx_realizer(parse_phi("((phi(M)+phi(M)) & 1)"), F(1, 100), ctx)
+result = approx_realizer(parse_phi("((phi(M)+phi(M)) & 1)"), ctx)
 print("\nrealizer:", result.to_report())

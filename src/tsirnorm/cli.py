@@ -235,7 +235,7 @@ def cmd_phi(args) -> int:
         _emit(args, report, str(value))
         return EXIT_OK
     if args.phi_command == "realize":
-        result = approx_realizer(expr, Fraction(args.eps), ctx)
+        result = approx_realizer(expr, ctx)
         report = _base_report(args, started)
         report.update(result.to_report())
         _emit(args, report, report["norm"])
@@ -332,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", action="append", metavar="ID=SPEC",
                    help="register a norm (repeatable)")
     p.add_argument("--target", default="l1", help="target norm spec for eval")
-    p.add_argument("--eps", default="1/100", help="accuracy for realize")
     p.add_argument("--variant", default="similarity")
     p.add_argument("--pool", action="append", metavar="VECTOR",
                    help="distance-estimation candidate (repeatable)")

@@ -29,7 +29,6 @@ from math import lcm
 
 import numpy as np
 
-from .rules import AdmissibilityRule
 from .session import BudgetExceededError, EvalSession
 
 __all__ = [

@@ -1,16 +1,17 @@
 """Norm specifications and the exact evaluation dispatcher.
 
-``norm_eval`` routes every request to the cheapest exact path that fits:
-closed forms on run-compressed vectors for levels 0 and 1, integer dynamic
-programs for levels 2 and 3 on explicit point supports, and the generic
-rational evaluator elsewhere.  When no exact path fits the budget, a
-``BudgetExceededError`` carries the best certified lower bound instead of a
-silent approximation.
+Each spec carries its own ``evaluate(x, session)``, ``lower_bound(x)`` and
+``__str__``; ``norm_eval`` is ``spec.evaluate``.  ``iterate_norm`` takes one
+path: closed forms on run-compressed vectors (levels 0 and 1, the literal
+rule to level 2), then one integer dynamic program for levels 2 and 3 past
+the small-support cutoff, then the generic rational evaluator (also the
+fallback when the program refuses for number representation).  A refusal is
+a ``BudgetExceededError`` carrying a certified lower bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fastpaths
@@ -43,12 +44,24 @@ _SMALL_CUTOFF = 28
 
 @dataclass(frozen=True)
 class Ell1:
-    pass
+    def evaluate(self, x: FiniteVector, session: EvalSession | None = None) -> Fraction:
+        return l1_norm(x)
+
+    lower_bound = evaluate
+
+    def __str__(self) -> str:
+        return "l1"
 
 
 @dataclass(frozen=True)
 class Sup:
-    pass
+    def evaluate(self, x: FiniteVector, session: EvalSession | None = None) -> Fraction:
+        return sup_norm(x)
+
+    lower_bound = evaluate
+
+    def __str__(self) -> str:
+        return "sup"
 
 
 @dataclass(frozen=True)
@@ -60,16 +73,43 @@ class Iterate:
         if self.level < 0:
             raise ValueError("iterate level must be >= 0")
 
+    def evaluate(self, x: FiniteVector, session: EvalSession | None = None) -> Fraction:
+        return iterate_norm(x, self.level, self.rule, session)
+
+    def lower_bound(self, x: FiniteVector) -> Fraction:
+        return cheap_lower_bound(x, self.level, self.rule)
+
+    def __str__(self) -> str:
+        return f"iterate:{self.level}"
+
 
 @dataclass(frozen=True)
 class TsirelsonLimit:
     rule: AdmissibilityRule = _FJ
+
+    def evaluate(self, x: FiniteVector, session: EvalSession | None = None) -> Fraction:
+        return tsirelson_norm(x, self.rule, session)
+
+    def lower_bound(self, x: FiniteVector) -> Fraction:
+        return cheap_lower_bound(x, None, self.rule)
+
+    def __str__(self) -> str:
+        return "tsirelson"
 
 
 @dataclass(frozen=True)
 class Join:
     left: "NormSpec"
     right: "NormSpec"
+
+    def evaluate(self, x: FiniteVector, session: EvalSession | None = None) -> Fraction:
+        return max(self.left.evaluate(x, session), self.right.evaluate(x, session))
+
+    def lower_bound(self, x: FiniteVector) -> Fraction:
+        return max(self.left.lower_bound(x), self.right.lower_bound(x))
+
+    def __str__(self) -> str:
+        return f"join({self.left},{self.right})"
 
 
 NormSpec = Ell1 | Sup | Iterate | TsirelsonLimit | Join
@@ -105,6 +145,17 @@ def cheap_lower_bound(x: FiniteVector, k: int | None, rule: AdmissibilityRule) -
     return lb
 
 
+def _generic(x: FiniteVector, rule: AdmissibilityRule, session: EvalSession | None,
+             what: str) -> SmallEvaluator:
+    """Generic evaluator on x's points; refuses supports past its limit."""
+    size = x.support_size
+    if size > GENERIC_SUPPORT_LIMIT:
+        raise BudgetExceededError(f"no exact path for {what} at support size {size}",
+                                  reason="size-limit")
+    pos, w = _abs_points(x)
+    return SmallEvaluator(pos, w, rule, session or EvalSession())
+
+
 def iterate_norm(x: FiniteVector, k: int, rule: AdmissibilityRule = _FJ,
                  session: EvalSession | None = None) -> Fraction:
     """Exact k-th iterate norm of x under the chosen admissibility rule."""
@@ -123,38 +174,24 @@ def iterate_norm(x: FiniteVector, k: int, rule: AdmissibilityRule = _FJ,
 
     size = x.support_size
     session = session or EvalSession()
-
-    def generic() -> Fraction:
-        pos, w = _abs_points(x)
-        return SmallEvaluator(pos, w, rule, session).iterate(k)
-
-    if size <= _SMALL_CUTOFF:
-        return generic()
-    if rule is _FJ and k == 2 and size <= fastpaths.LEVEL2_POINT_LIMIT:
-        pos, w = _abs_points(x)
-        try:
-            return fastpaths.level2_top_points(pos, w, session)
-        except BudgetExceededError as exc:
-            if size <= GENERIC_SUPPORT_LIMIT:
-                return generic()
-            exc.lower_bound = cheap_lower_bound(x, k, rule)
-            raise
-    if rule is _FJ and k == 3 and size <= fastpaths.LEVEL3_POINT_LIMIT:
-        pos, w = _abs_points(x)
-        try:
-            return fastpaths.level3_top_points(pos, w, session)
-        except BudgetExceededError as exc:
-            if size <= GENERIC_SUPPORT_LIMIT:
-                return generic()
-            exc.lower_bound = cheap_lower_bound(x, k, rule)
-            raise
-    if size <= GENERIC_SUPPORT_LIMIT:
-        return generic()
-    raise BudgetExceededError(
-        f"no exact path for level {k} at support size {size}",
-        lower_bound=cheap_lower_bound(x, k, rule),
-        reason="size-limit",
-    )
+    try:
+        if rule is _FJ and k in (2, 3):
+            # Looked up at call time, so rebinding the module attribute
+            # (as a tracer does) reaches this call.
+            dp, limit = ((fastpaths.level2_top_points, fastpaths.LEVEL2_POINT_LIMIT) if k == 2
+                         else (fastpaths.level3_top_points, fastpaths.LEVEL3_POINT_LIMIT))
+            if _SMALL_CUTOFF < size <= limit:
+                try:
+                    return dp(*_abs_points(x), session)
+                except BudgetExceededError as exc:
+                    # A spent budget stays spent; only an encoding refusal
+                    # leaves the generic evaluator something to do.
+                    if exc.reason != "representation" or size > GENERIC_SUPPORT_LIMIT:
+                        raise
+        return _generic(x, rule, session, f"level {k}").iterate(k)
+    except BudgetExceededError as exc:
+        exc.lower_bound = cheap_lower_bound(x, k, rule)
+        raise
 
 
 def tsirelson_norm(x: FiniteVector, rule: AdmissibilityRule = _FJ,
@@ -162,16 +199,11 @@ def tsirelson_norm(x: FiniteVector, rule: AdmissibilityRule = _FJ,
     """Exact limit norm, computed by the well-founded fixed-point recursion."""
     if x.is_zero:
         return Fraction(0)
-    session = session or EvalSession()
-    size = x.support_size
-    if size <= GENERIC_SUPPORT_LIMIT:
-        pos, w = _abs_points(x)
-        return SmallEvaluator(pos, w, rule, session).limit()
-    raise BudgetExceededError(
-        f"no exact limit path at support size {size}",
-        lower_bound=cheap_lower_bound(x, None, rule),
-        reason="size-limit",
-    )
+    try:
+        return _generic(x, rule, session, "the limit").limit()
+    except BudgetExceededError as exc:
+        exc.lower_bound = cheap_lower_bound(x, None, rule)
+        raise
 
 
 def stabilization_level(x: FiniteVector, rule: AdmissibilityRule = _FJ,
@@ -183,37 +215,27 @@ def stabilization_level(x: FiniteVector, rule: AdmissibilityRule = _FJ,
     """
     if x.is_zero:
         return 0, Fraction(0)
-    size = x.support_size
-    if size > GENERIC_SUPPORT_LIMIT:
-        raise BudgetExceededError(
-            f"no exact limit path at support size {size}",
-            lower_bound=cheap_lower_bound(x, None, rule),
-            reason="size-limit",
-        )
-    pos, w = _abs_points(x)
-    evaluator = SmallEvaluator(pos, w, rule, session or EvalSession())
-    limit = evaluator.limit()
-    hard_cap = size if rule is _FJ else x.max_index + 1
-    for k in range(hard_cap + 1):
-        if evaluator.iterate(k) == limit:
-            return k, limit
+    try:
+        evaluator = _generic(x, rule, session, "the limit")
+        limit = evaluator.limit()
+        hard_cap = evaluator.s if rule is _FJ else x.max_index + 1
+        for k in range(hard_cap + 1):
+            if evaluator.iterate(k) == limit:
+                return k, limit
+    except BudgetExceededError as exc:
+        exc.lower_bound = cheap_lower_bound(x, None, rule)
+        raise
     raise AssertionError("iterates failed to stabilize below the provable cap")
 
 
 def norm_eval(spec: NormSpec, x: FiniteVector,
               session: EvalSession | None = None) -> Fraction:
-    """Exact value of the described norm at x."""
-    if isinstance(spec, Ell1):
-        return l1_norm(x)
-    if isinstance(spec, Sup):
-        return sup_norm(x)
-    if isinstance(spec, Iterate):
-        return iterate_norm(x, spec.level, spec.rule, session)
-    if isinstance(spec, TsirelsonLimit):
-        return tsirelson_norm(x, spec.rule, session)
-    if isinstance(spec, Join):
-        return max(norm_eval(spec.left, x, session), norm_eval(spec.right, x, session))
-    raise TypeError(f"not a NormSpec: {spec!r}")
+    """Exact value of the described norm at x; a refusal carries spec.lower_bound(x)."""
+    try:
+        return spec.evaluate(x, session)
+    except BudgetExceededError as exc:
+        exc.lower_bound = spec.lower_bound(x)
+        raise
 
 
 # -- spec literals -----------------------------------------------------------
@@ -250,14 +272,4 @@ def parse_normspec(text: str, rule: AdmissibilityRule = _FJ) -> NormSpec:
 
 
 def format_normspec(spec: NormSpec) -> str:
-    if isinstance(spec, Ell1):
-        return "l1"
-    if isinstance(spec, Sup):
-        return "sup"
-    if isinstance(spec, Iterate):
-        return f"iterate:{spec.level}"
-    if isinstance(spec, TsirelsonLimit):
-        return "tsirelson"
-    if isinstance(spec, Join):
-        return f"join({format_normspec(spec.left)},{format_normspec(spec.right)})"
-    raise TypeError(f"not a NormSpec: {spec!r}")
+    return str(spec)

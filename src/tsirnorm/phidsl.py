@@ -270,39 +270,31 @@ def _vmax(a: Value, b: Value) -> Value:
     return a if a >= b else b
 
 
-def eval_phi(expr: PhiExpr, target: NormSpec, ctx: EvalContext,
-             session: EvalSession | None = None) -> Value:
-    """Value of the expression against the target norm, in [0, 1]."""
+_BINARY = {And: _vmin, Or: _vmax, Oplus: lambda a, b: _vmin(a + b, Fraction(1))}
+
+
+def _fold(expr: PhiExpr, atom: Callable[[str], Value]) -> Value:
+    """Value of the expression with each atom valued by ``atom(name)``."""
     if isinstance(expr, Const1):
         return Fraction(1)
     if isinstance(expr, Atom):
-        return ctx.atom_value(expr.name, target, session)
+        return atom(expr.name)
     if isinstance(expr, Scal):
-        return expr.coeff * eval_phi(expr.child, target, ctx, session)
-    left = eval_phi(expr.left, target, ctx, session)
-    right = eval_phi(expr.right, target, ctx, session)
-    if isinstance(expr, And):
-        return _vmin(left, right)
-    if isinstance(expr, Or):
-        return _vmax(left, right)
-    if isinstance(expr, Oplus):
-        return _vmin(left + right, Fraction(1))
-    raise TypeError(f"not a PhiExpr: {expr!r}")
+        return expr.coeff * _fold(expr.child, atom)
+    if type(expr) not in _BINARY:
+        raise TypeError(f"not a PhiExpr: {expr!r}")
+    return _BINARY[type(expr)](_fold(expr.left, atom), _fold(expr.right, atom))
+
+
+def eval_phi(expr: PhiExpr, target: NormSpec, ctx: EvalContext,
+             session: EvalSession | None = None) -> Value:
+    """Value of the expression against the target norm, in [0, 1]."""
+    return _fold(expr, lambda name: ctx.atom_value(name, target, session))
 
 
 def mpv(expr: PhiExpr) -> Fraction:
-    """Maximum possible value, by structural induction."""
-    if isinstance(expr, (Const1, Atom)):
-        return Fraction(1)
-    if isinstance(expr, Scal):
-        return expr.coeff * mpv(expr.child)
-    if isinstance(expr, And):
-        return min(mpv(expr.left), mpv(expr.right))
-    if isinstance(expr, Or):
-        return max(mpv(expr.left), mpv(expr.right))
-    if isinstance(expr, Oplus):
-        return min(mpv(expr.left) + mpv(expr.right), Fraction(1))
-    raise TypeError(f"not a PhiExpr: {expr!r}")
+    """Maximum possible value: the expression with every atom at 1."""
+    return _fold(expr, lambda name: Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +352,7 @@ def _realize(expr: PhiExpr, ctx: EvalContext) -> NormSpec:
     return norm
 
 
-def approx_realizer(expr: PhiExpr, epsilon: Fraction, ctx: EvalContext,
+def approx_realizer(expr: PhiExpr, ctx: EvalContext,
                     session: EvalSession | None = None) -> RealizerResult:
     """Norm built from registered norms and joins aiming at the expression's
     maximum possible value; the achieved value is reported alongside.
@@ -370,8 +362,6 @@ def approx_realizer(expr: PhiExpr, epsilon: Fraction, ctx: EvalContext,
     """
     if not ctx.registry:
         raise PhiEvalError("empty norm registry")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     target = mpv(expr)
     if target == 0:
         raise ValueError("maximum possible value is zero")

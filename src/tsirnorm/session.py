@@ -17,8 +17,9 @@ class BudgetExceededError(Exception):
     ``size-limit`` (the support is too large for every exact path) or
     ``representation`` (the numbers do not fit the path's encoding).
 
-    Carries the best certified lower bound found before giving up; the bound
-    is a true lower bound, never an approximation of the exact value.
+    ``lower_bound`` is attached by the public evaluators in ``norms`` before
+    the error leaves them; it is a true lower bound, never an approximation
+    of the exact value.
     """
 
     def __init__(self, message: str, lower_bound: Fraction | None = None, *,
@@ -51,15 +52,6 @@ class EvalSession:
             "tables_built": 0,
             "families_enumerated": 0,
         }
-        self._best_lower: Fraction = Fraction(0)
-
-    def note_lower(self, value: Fraction) -> None:
-        if value > self._best_lower:
-            self._best_lower = value
-
-    @property
-    def best_lower(self) -> Fraction:
-        return self._best_lower
 
     def charge(self, units: int, what: str = "dp_transitions") -> None:
         self.used += units
@@ -67,14 +59,4 @@ class EvalSession:
             self.stats[what] += units
         if self.used > self.budget:
             raise BudgetExceededError(
-                f"work budget of {self.budget} units exhausted",
-                lower_bound=self._best_lower,
-                reason="budget",
-            )
-
-    def reset(self) -> None:
-        self.used = 0
-        self.memo.clear()
-        for key in self.stats:
-            self.stats[key] = 0
-        self._best_lower = Fraction(0)
+                f"work budget of {self.budget} units exhausted", reason="budget")

@@ -169,14 +169,10 @@ class FiniteVector:
         cuts = sorted(bounds)
         runs = []
         for lo, hi in zip(cuts, cuts[1:]):
-            v = self._run_value(lo) + other._run_value(lo)
+            v = self.value_at(lo) + other.value_at(lo)
             if v != 0:
                 runs.append((lo, hi - 1, v))
         return FiniteVector(runs)
-
-    def _run_value(self, index: int) -> Fraction:
-        # Like value_at but only called at positions where runs were split.
-        return self.value_at(index)
 
     def __neg__(self) -> "FiniteVector":
         return FiniteVector((s, e, -v) for s, e, v in self.runs)

@@ -9,22 +9,11 @@ either verifies or the construction fails loudly; nothing is approximated.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fastpaths
-from .norms import (
-    Ell1,
-    Iterate,
-    Join,
-    NormSpec,
-    Sup,
-    TsirelsonLimit,
-    cheap_lower_bound,
-    format_normspec,
-    iterate_norm,
-    norm_eval,
-)
+from .norms import Iterate, NormSpec, format_normspec, iterate_norm, norm_eval
 from .rules import AdmissibilityRule
 from .session import BudgetExceededError, EvalSession
 from .vectors import FiniteVector, format_vector, l1_norm, normalize_l1, sup_norm
@@ -201,7 +190,7 @@ def _windows_admissible(parts: list[FiniteVector]) -> bool:
     return all(a.max_index < b.min_index for a, b in zip(parts, parts[1:]))
 
 
-def base_witness(n: int, start: int = 1, session: EvalSession | None = None) -> Witness:
+def base_witness(n: int, start: int = 1) -> Witness:
     """Blocks [m_i, 2m_i-1] at height 1/m_i on a minimal schedule.
 
     Certifies: each part has first iterate exactly 1/2, the sum has first
@@ -398,22 +387,8 @@ def cascade_stack(first_start: int, first_blocks: int, second_blocks: int,
 def _certified_lower(spec: NormSpec, x: FiniteVector, session: EvalSession) -> tuple[Fraction, bool]:
     try:
         return norm_eval(spec, x, session), True
-    except BudgetExceededError:
-        return _spec_lower(spec, x), False
-
-
-def _spec_lower(spec: NormSpec, x: FiniteVector) -> Fraction:
-    if isinstance(spec, Ell1):
-        return l1_norm(x)
-    if isinstance(spec, Sup):
-        return sup_norm(x)
-    if isinstance(spec, Iterate):
-        return cheap_lower_bound(x, spec.level, spec.rule)
-    if isinstance(spec, TsirelsonLimit):
-        return cheap_lower_bound(x, None, spec.rule)
-    if isinstance(spec, Join):
-        return max(_spec_lower(spec.left, x), _spec_lower(spec.right, x))
-    raise TypeError(f"not a NormSpec: {spec!r}")
+    except BudgetExceededError as exc:
+        return exc.lower_bound, False
 
 
 def _certified_upper(spec: NormSpec, x: FiniteVector, session: EvalSession) -> tuple[Fraction, bool]:

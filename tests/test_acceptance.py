@@ -218,7 +218,7 @@ def test_criterion_7_dsl_suite(capsys):
         same_atom = random_expr(rng, 4, atoms=("M",))
         target = mpv(same_atom)
         if target > 0:
-            result = approx_realizer(same_atom, F(1, 100), realize_ctx)
+            result = approx_realizer(same_atom, realize_ctx)
             realized += 1
             if result.achieved != target:
                 ok = False

@@ -8,6 +8,8 @@ from tsirnorm.cli import main
 # limit, but the common denominator overflows int64.
 PRIMES = [p for p in range(2, 600) if all(p % d for d in range(2, p))][:100]
 PRIME_VECTOR = ",".join(f"{i + 2}:1/{p}" for i, p in enumerate(PRIMES))
+# Three million points: past every exact path and the materialisation limit.
+WIDE_BLOCK = "1000000..3999999:1/1000000"
 
 
 def run(capsys, *argv):
@@ -73,6 +75,17 @@ class TestNorm:
         assert (refused["lower_bound"] is None) == ("lower bound" not in err)
         if refused["lower_bound"] is not None:
             assert f"best certified lower bound: {refused['lower_bound']}" in err
+
+    @pytest.mark.parametrize("argv, reason, lower", [
+        (("--spec", "iterate:2", WIDE_BLOCK), "size-limit", "1"),
+        (("--spec", "iterate:3", WIDE_BLOCK), "size-limit", "1"),
+        (("--spec", "tsirelson", WIDE_BLOCK), "size-limit", "1"),
+        (("--spec", "tsirelson", "--budget", "5", "2:1,3:1,4:1,5:1"), "budget", "3/2"),
+    ], ids=["level2-wide", "level3-wide", "limit-wide", "limit-budget"])
+    def test_refusal_reports_certified_bound(self, capsys, argv, reason, lower):
+        code, out, _ = run(capsys, "norm", *argv, "--json")
+        refused = json.loads(out)["refused"]
+        assert code == 3 and (refused["reason"], refused["lower_bound"]) == (reason, lower)
 
 
 class TestWitness:

@@ -31,6 +31,7 @@ from tsirnorm import (
 )
 from tsirnorm import fastpaths
 from tsirnorm.engine import SmallEvaluator
+from tsirnorm.norms import cheap_lower_bound
 
 from conftest import random_vector
 
@@ -368,3 +369,82 @@ class TestHugeBlockFastPaths:
         x = FiniteVector.from_blocks([(10 ** 6, 2 * 10 ** 6 - 1, F(1, 10 ** 6))])
         assert iterate_norm(x, 1, PL) == F(1, 10 ** 6)
         assert iterate_norm(x, 2, PL) == F(1, 10 ** 6)
+
+
+def random_support(rng, size, denominators=None):
+    pos = sorted(rng.sample(range(2, 2 * size), size))
+    dens = denominators or [rng.randint(1, 12) for _ in pos]
+    return FiniteVector.from_entries({i: F(1, d) for i, d in zip(pos, dens)})
+
+
+def generic_value(x, k):
+    pos, w = zip(*((i, abs(v)) for i, v in x.entries()))
+    return SmallEvaluator(list(pos), list(w), FJ).iterate(k)
+
+
+class TestDispatchBoundaries:
+    """Which path ran is read from the session: only the integer DPs build tables."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("size, dp_ran", [(28, False), (29, True)])
+    def test_small_support_cutoff(self, rng, k, size, dp_ran):
+        x = random_support(rng, size)
+        session = EvalSession()
+        assert iterate_norm(x, k, FJ, session) == generic_value(x, k)
+        assert (session.stats["tables_built"] > 0) == dp_ran
+
+    def test_representation_refusal_falls_back_to_generic(self, rng):
+        primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))][:40]
+        x = random_support(rng, 40, primes)
+        with pytest.raises(BudgetExceededError) as err:
+            fastpaths.level2_top_points(*zip(*x.entries()))
+        assert err.value.reason == "representation"
+        session = EvalSession()
+        assert iterate_norm(x, 2, FJ, session) == generic_value(x, 2)
+        assert session.stats["tables_built"] == 0
+
+    def test_level3_point_limit(self, rng):
+        x = random_support(rng, fastpaths.LEVEL3_POINT_LIMIT)
+        session = EvalSession()
+        assert iterate_norm(x, 3, FJ, session) >= iterate_norm(x, 2, FJ)
+        assert session.stats["tables_built"] > 0
+        wider = x + FiniteVector.basis(2 * x.max_index)
+        with pytest.raises(BudgetExceededError) as err:
+            iterate_norm(wider, 3, FJ)
+        assert err.value.reason == "size-limit"
+        assert err.value.lower_bound == cheap_lower_bound(wider, 3, FJ)
+
+
+class TestRefusalBounds:
+    """A spent work budget still reports the certified lower bound at x."""
+
+    X = parse_vector("2:1,3:1,4:1,5:1")
+
+    @pytest.mark.parametrize("evaluate, k", [
+        (lambda x, s: iterate_norm(x, 4, FJ, s), 4),
+        (lambda x, s: tsirelson_norm(x, FJ, s), None),
+        (lambda x, s: stabilization_level(x, FJ, s), None),
+        (lambda x, s: norm_eval(TsirelsonLimit(), x, s), None),
+    ], ids=["iterate_norm", "tsirelson_norm", "stabilization_level", "norm_eval"])
+    def test_generic_budget_refusal(self, evaluate, k):
+        with pytest.raises(BudgetExceededError) as err:
+            evaluate(self.X, EvalSession(5))
+        assert err.value.reason == "budget"
+        assert err.value.lower_bound == cheap_lower_bound(self.X, k, FJ) == F(3, 2)
+
+    def test_dp_budget_refusal_does_not_fall_back(self, rng):
+        x = random_support(rng, 29)
+        session = EvalSession(10)
+        with pytest.raises(BudgetExceededError) as err:
+            iterate_norm(x, 2, FJ, session)
+        assert err.value.reason == "budget"
+        assert err.value.lower_bound == cheap_lower_bound(x, 2, FJ)
+        assert session.stats["ranges_evaluated"] == 0
+
+    def test_join_refusal_takes_the_larger_side_bound(self):
+        x = FiniteVector.from_blocks([(10, 40, F(1, 10))])
+        spec = Join(Iterate(4), Sup())
+        with pytest.raises(BudgetExceededError) as err:
+            norm_eval(spec, x, EvalSession(5))
+        expected = max(cheap_lower_bound(x, 4, FJ), sup_norm(x))
+        assert err.value.lower_bound == expected > sup_norm(x)

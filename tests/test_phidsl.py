@@ -145,13 +145,13 @@ class TestEval:
 class TestRealizer:
     def test_atom_realizes_itself(self):
         ctx = EvalContext({"M": Iterate(1), "L": Ell1()})
-        result = approx_realizer(parse_phi("phi(M)"), F(1, 10), ctx)
+        result = approx_realizer(parse_phi("phi(M)"), ctx)
         assert result.norm == Iterate(1)
         assert result.achieved == 1 == result.target_mpv
 
     def test_const_realized_by_any_registered(self):
         ctx = EvalContext({"M": Iterate(1)})
-        result = approx_realizer(parse_phi("1"), F(1, 10), ctx)
+        result = approx_realizer(parse_phi("1"), ctx)
         assert result.achieved == 1
 
     def test_same_atom_combinations_hit_mpv(self):
@@ -162,18 +162,18 @@ class TestRealizer:
             target = mpv(expr)
             if target == 0:
                 continue
-            result = approx_realizer(expr, F(1, 100), ctx)
+            result = approx_realizer(expr, ctx)
             assert result.achieved == target
 
     def test_join_built_for_mixed_oplus(self):
         ctx = EvalContext({"A": Ell1(), "B": Sup()})
-        result = approx_realizer(parse_phi("(phi(A)+phi(B))"), F(1, 10), ctx)
+        result = approx_realizer(parse_phi("(phi(A)+phi(B))"), ctx)
         assert result.norm == Join(Ell1(), Sup())
 
     def test_zero_mpv_rejected(self):
         ctx = EvalContext({"M": Iterate(1)})
         with pytest.raises(ValueError, match="zero"):
-            approx_realizer(parse_phi("0/1*1"), F(1, 10), ctx)
+            approx_realizer(parse_phi("0/1*1"), ctx)
 
 
 def _mentions_atom(expr):
