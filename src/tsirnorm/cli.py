@@ -3,8 +3,8 @@
 Machine output is a single JSON report on stdout (``--json``); the default
 output is the principal value(s) only.  Exit codes: 0 success, 1 certificate
 failure, 2 input error, 3 exact evaluation refused (the message names the
-reason: budget, size-limit or representation; under ``--json`` a
-``refused`` object carries it on stdout too).
+reason, budget or size-limit; under ``--json`` a ``refused`` object carries
+it on stdout too).
 """
 
 from __future__ import annotations

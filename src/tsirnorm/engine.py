@@ -69,19 +69,27 @@ class SmallEvaluator:
         return max(self.w[a:b + 1])
 
     def _value(self, a: int, b: int, key) -> Fraction:
-        memo_key = (a, b, key)
-        cached = self._value_memo.get(memo_key)
+        memo = self._value_memo
+        cached = memo.get((a, b, key))
         if cached is not None:
             return cached
-        self.session.charge(1, "ranges_evaluated")
-        if key == 0:
-            result = self._sup(a, b)
-        elif key == LIMIT_KEY:
+        if key == LIMIT_KEY:
+            self.session.charge(1, "ranges_evaluated")
             result = max(self._sup(a, b), self._family_max(a, b, LIMIT_KEY, None))
-        else:
-            below = self._value(a, b, key - 1)
-            result = max(below, self._family_max(a, b, key - 1, key))
-        self._value_memo[memo_key] = result
+            memo[(a, b, key)] = result
+            return result
+        # Climb this window's levels in a loop from the highest one memoised,
+        # so that recursion only enters strictly smaller windows.
+        low = key
+        while low > 0 and (a, b, low - 1) not in memo:
+            low -= 1
+        for level in range(low, key + 1):
+            self.session.charge(1, "ranges_evaluated")
+            if level == 0:
+                result = self._sup(a, b)
+            else:
+                result = max(memo[(a, b, level - 1)], self._family_max(a, b, level - 1, level))
+            memo[(a, b, level)] = result
         return result
 
     def _family_max(self, a: int, b: int, group_key, step_k: int | None) -> Fraction:

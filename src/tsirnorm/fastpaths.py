@@ -8,8 +8,8 @@ Two families of shortcuts:
 * integer-encoded dynamic programs for the second and third iterates on
   explicit point supports up to a few thousand points (all values are
   numerators over one common denominator, so numpy's max/plus kernels apply
-  in the narrowest certified width, int32 or int64, that a size bound on the
-  numerators proves free of overflow).  Both levels run one
+  in the narrowest width that a size bound on the numerators certifies:
+  int32, int64, or Python ints in an object array).  Both levels run one
   max-plus partition kernel, ``_family_dp``: level 2 over the first-iterate
   table, level 3 over the second-iterate table, which itself runs the kernel
   once per right end.  The kernel works on the upper triangle in fixed
@@ -29,6 +29,7 @@ from math import lcm
 
 import numpy as np
 
+from .engine import GENERIC_SUPPORT_LIMIT
 from .session import BudgetExceededError, EvalSession
 
 __all__ = [
@@ -51,9 +52,15 @@ LEVEL3_POINT_LIMIT = 240
 _DP_BLOCK_ROWS = 64
 
 
-def _sentinel(dtype) -> int:
-    """Below every real table value; a sentinel plus a real value still fits."""
-    return int(np.iinfo(dtype).min // 2)
+def _sentinel(values: np.ndarray) -> int:
+    """Below every real table value; a sentinel plus a real value stays so.
+
+    A fixed width takes half its minimum (see ``_encode``); Python ints take
+    one below -16 times the sum of the real, never negative, entries.
+    """
+    if values.dtype == object:
+        return -1 - 16 * int(np.maximum(values, 0).sum())
+    return int(np.iinfo(values.dtype).min // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +224,15 @@ def level1_runs(runs) -> Fraction:
 def _encode(weights, limit: int, level: int) -> tuple[np.ndarray, int]:
     """Numerators over the common denominator Q of a support the level DP admits.
 
-    Every table value stays below 16 times the numerators' sum, so the array
-    takes the narrowest certified width: int32 when that bound is below 2**30
-    (half the dtype's minimum is the sentinel, so a sentinel plus a real value
-    stays representable), else int64 below 2**62.  Refuses supports past the
-    point limit, and numerators too large for int64.
+    The one place that picks the number width.  Every table value stays
+    below 16 times the numerators' sum, so the array takes the narrowest
+    certified width: int32 when that bound is below 2**30 (half the dtype's
+    minimum is the sentinel, so a sentinel plus a real value stays
+    representable), int64 below 2**62, else Python ints in an object array.
+    A Python-int transition costs 5-100 times an int64 one, more as the
+    numerators grow, so that width is admitted only up to
+    GENERIC_SUPPORT_LIMIT points.  Supports past
+    the level's point limit or that cap are refused as ``size-limit``.
     """
     if len(weights) > limit:
         raise BudgetExceededError(
@@ -230,12 +241,12 @@ def _encode(weights, limit: int, level: int) -> tuple[np.ndarray, int]:
     q = lcm(*(w.denominator for w in weights))
     wq = [int(w * q) for w in weights]
     bound = 16 * sum(wq)
-    if bound >= 1 << 62:
+    if bound >= 1 << 62 and len(weights) > GENERIC_SUPPORT_LIMIT:
         raise BudgetExceededError(
-            "integer encoding exceeds the int64 safety bound for the fast path",
-            reason="representation",
-        )
-    return np.array(wq, dtype=np.int32 if bound < 1 << 30 else np.int64), q
+            f"level-{level} numerators of {len(weights)} points pass int64; the Python-int "
+            f"width takes at most {GENERIC_SUPPORT_LIMIT} points", reason="size-limit")
+    dtype = np.int32 if bound < 1 << 30 else np.int64 if bound < 1 << 62 else object
+    return np.array(wq, dtype=dtype), q
 
 
 def _g_table(pos: list[int], wq_arr: np.ndarray, s: int, session: EvalSession) -> np.ndarray:
@@ -244,7 +255,7 @@ def _g_table(pos: list[int], wq_arr: np.ndarray, s: int, session: EvalSession) -
     values = sorted(set(wq_arr.tolist()))
     class_of = {v: i for i, v in enumerate(values)}
     classes = [class_of[v] for v in wq_arr.tolist()]
-    g = np.full((s, s), _sentinel(wq_arr.dtype), dtype=wq_arr.dtype)
+    g = np.full((s, s), _sentinel(wq_arr), dtype=wq_arr.dtype)
     for t in range(s):
         # Fill phase, the whole row if it is never clipped: running sums.
         m = min(pos[t], s - t)
@@ -297,9 +308,8 @@ def _family_dp(table: np.ndarray, n: int, pos, session: EvalSession) -> np.ndarr
     table[u, c] + prev[c+1], evaluated in row blocks so that each block is
     one add and one max.
     """
-    sentinel = _sentinel(table.dtype)
     caps = np.array([min(p, n - t) for t, p in enumerate(pos[:n])], dtype=np.int64)
-    fam = np.full(n, sentinel, dtype=table.dtype)
+    fam = np.full(n, _sentinel(table[:n, n - 1]), dtype=table.dtype)
     rmax = int(caps.max(initial=0))
     if rmax < 2:
         return fam
@@ -309,10 +319,11 @@ def _family_dp(table: np.ndarray, n: int, pos, session: EvalSession) -> np.ndarr
     for r in range(2, rmax + 1):
         hi = n - r  # last allowed end of the first group
         session.charge((hi + 1) * (hi + 2) // 2, "dp_transitions")
-        # Every read of prev must be a real cover.  A sentinel is then only
-        # ever added to a real value, so the sum stays inside the table's
-        # certified width (see _encode) and below every real value.
-        if prev[1:hi + 2].min() == sentinel:
+        # Every read of prev must be a real cover, and real covers are never
+        # negative.  A sentinel is then only ever added to a real value, so
+        # the sum stays inside the table's certified width (see _encode) and
+        # below every real value.
+        if prev[1:hi + 2].min() < 0:
             raise RuntimeError(f"sentinel in the {r - 1}-group covers of the partition DP")
         for u0 in range(0, hi + 1, _DP_BLOCK_ROWS):
             u1 = min(u0 + _DP_BLOCK_ROWS, hi + 1)
@@ -344,7 +355,7 @@ def _level2_table(pos, wq_arr, s, session) -> np.ndarray:
     family numerators of the points up to b.
     """
     l1 = _level1_table(pos, wq_arr, s, session)
-    l2 = np.full_like(l1, _sentinel(l1.dtype))
+    l2 = np.full_like(l1, _sentinel(l1))
     for b in range(s):
         best = np.maximum(_family_dp(l1, b + 1, pos, session), 4 * wq_arr[:b + 1])
         l2[:b + 1, b] = np.maximum.accumulate(best[::-1])[::-1]

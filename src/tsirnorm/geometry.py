@@ -225,10 +225,6 @@ class OrderPropertyMatrix:
     def d_value(self, numerator_level: int, denominator_level: int) -> Fraction:
         return self.entries[(numerator_level, denominator_level)].estimate.value
 
-    def phi_value(self, numerator_level: int, denominator_level: int,
-                  variant: PhiVariant) -> float:
-        return variant.transform(self.d_value(numerator_level, denominator_level))
-
     def d_matrix_for_stability(self) -> list[list[Fraction]]:
         """Distance grid oriented for the stability diagnostic.
 

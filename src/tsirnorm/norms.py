@@ -4,9 +4,9 @@ Each spec carries its own ``evaluate(x, session)``, ``lower_bound(x)`` and
 ``__str__``; ``norm_eval`` is ``spec.evaluate``.  ``iterate_norm`` takes one
 path: closed forms on run-compressed vectors (levels 0 and 1, the literal
 rule to level 2), then one integer dynamic program for levels 2 and 3 past
-the small-support cutoff, then the generic rational evaluator (also the
-fallback when the program refuses for number representation).  A refusal is
-a ``BudgetExceededError`` carrying a certified lower bound.
+the small-support cutoff (it picks its own number width), else the generic
+rational evaluator.  A refusal is a ``BudgetExceededError`` carrying a
+certified lower bound.
 """
 
 from __future__ import annotations
@@ -173,7 +173,6 @@ def iterate_norm(x: FiniteVector, k: int, rule: AdmissibilityRule = _FJ,
         return fastpaths.level1_runs(_abs_runs(x))
 
     size = x.support_size
-    session = session or EvalSession()
     try:
         if rule is _FJ and k in (2, 3):
             # Looked up at call time, so rebinding the module attribute
@@ -181,13 +180,7 @@ def iterate_norm(x: FiniteVector, k: int, rule: AdmissibilityRule = _FJ,
             dp, limit = ((fastpaths.level2_top_points, fastpaths.LEVEL2_POINT_LIMIT) if k == 2
                          else (fastpaths.level3_top_points, fastpaths.LEVEL3_POINT_LIMIT))
             if _SMALL_CUTOFF < size <= limit:
-                try:
-                    return dp(*_abs_points(x), session)
-                except BudgetExceededError as exc:
-                    # A spent budget stays spent; only an encoding refusal
-                    # leaves the generic evaluator something to do.
-                    if exc.reason != "representation" or size > GENERIC_SUPPORT_LIMIT:
-                        raise
+                return dp(*_abs_points(x), session)
         return _generic(x, rule, session, f"level {k}").iterate(k)
     except BudgetExceededError as exc:
         exc.lower_bound = cheap_lower_bound(x, k, rule)

@@ -7,15 +7,15 @@ from fractions import Fraction
 __all__ = ["EvalSession", "BudgetExceededError"]
 
 
-_REFUSAL_REASONS = ("budget", "size-limit", "representation")
+_REFUSAL_REASONS = ("budget", "size-limit")
 
 
 class BudgetExceededError(Exception):
     """An exact evaluation was refused.
 
-    ``reason`` names the cause: ``budget`` (the work budget ran out),
-    ``size-limit`` (the support is too large for every exact path) or
-    ``representation`` (the numbers do not fit the path's encoding).
+    ``reason`` names the cause: ``budget`` (the work budget ran out) or
+    ``size-limit`` (the support is too large for every exact path at its
+    number width).
 
     ``lower_bound`` is attached by the public evaluators in ``norms`` before
     the error leaves them; it is a true lower bound, never an approximation

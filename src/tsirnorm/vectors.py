@@ -193,9 +193,6 @@ class FiniteVector:
 
     __rmul__ = __mul__
 
-    def abs(self) -> "FiniteVector":
-        return FiniteVector((s, e, abs(v)) for s, e, v in self.runs)
-
     # -- restriction --------------------------------------------------
 
     def clip(self, lo: int, hi: int) -> "FiniteVector":

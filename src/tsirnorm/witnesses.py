@@ -93,15 +93,6 @@ class CertificateLine:
     ok: bool
     checks: tuple[str, ...] = ()
 
-    def holds(self) -> bool:
-        if self.relation == "=":
-            return self.left == self.right
-        if self.relation == "<=":
-            return self.left <= self.right
-        if self.relation == ">=":
-            return self.left >= self.right
-        raise ValueError(f"unknown relation {self.relation!r}")
-
     def to_report(self) -> dict:
         return {
             "name": self.name,

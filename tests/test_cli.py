@@ -5,7 +5,8 @@ import pytest
 from tsirnorm.cli import main
 
 # 100 points i+2 : 1/p_i (p_i the i-th prime): far below the level-2 point
-# limit, but the common denominator overflows int64.
+# limit, but the numerators over the common denominator pass int64, and the
+# Python-int width of the integer DP stops at 96 points.
 PRIMES = [p for p in range(2, 600) if all(p % d for d in range(2, p))][:100]
 PRIME_VECTOR = ",".join(f"{i + 2}:1/{p}" for i, p in enumerate(PRIMES))
 # Three million points: past every exact path and the materialisation limit.
@@ -49,10 +50,16 @@ class TestNorm:
         assert code == 3 and "lower bound" in err
         assert "size-limit" in err
 
-    def test_int64_refusal_names_representation(self, capsys):
+    def test_wide_numerators_past_96_points_refused_as_size_limit(self, capsys):
         code, _, err = run(capsys, "norm", "--spec", "iterate:2", PRIME_VECTOR)
-        assert code == 3 and "representation" in err
-        assert "budget" not in err
+        assert code == 3 and "refused (size-limit)" in err
+        assert "int64" in err and "96" in err
+
+    @pytest.mark.parametrize("vector", ["900:1,901:1", "2000:1,2001:1"])
+    def test_literal_rule_limit_far_from_the_origin(self, capsys, vector):
+        # The literal rule's limit is its iterate at the largest index + 1.
+        code, out, _ = run(capsys, "norm", "--spec", "tsirelson", "--rule", "paper", vector)
+        assert code == 0 and out.strip() == "1"
 
     def test_work_budget_refusal_names_budget(self, capsys):
         code, _, err = run(capsys, "norm", "--spec", "tsirelson", "--budget", "5",
@@ -61,7 +68,7 @@ class TestNorm:
 
     @pytest.mark.parametrize("argv, reason", [
         (("--spec", "iterate:2", "1000000..1999999:1/1000000"), "size-limit"),
-        (("--spec", "iterate:2", PRIME_VECTOR), "representation"),
+        (("--spec", "iterate:2", PRIME_VECTOR), "size-limit"),
         (("--spec", "tsirelson", "--budget", "5", "2:1,3:1,4:1,5:1"), "budget"),
     ])
     def test_json_refusal_report(self, capsys, argv, reason):

@@ -30,7 +30,7 @@ from tsirnorm import (
     tsirelson_norm,
 )
 from tsirnorm import fastpaths
-from tsirnorm.engine import SmallEvaluator
+from tsirnorm.engine import GENERIC_SUPPORT_LIMIT, SmallEvaluator
 from tsirnorm.norms import cheap_lower_bound
 
 from conftest import random_vector
@@ -124,11 +124,14 @@ class TestFastPathAgreement:
 
     @pytest.mark.parametrize("total, dtype", [
         ((1 << 26) - 1, np.int32), (1 << 26, np.int64), ((1 << 26) + 5, np.int64),
+        ((1 << 58) - 1, np.int64), (1 << 58, object), ((1 << 58) + 5, object),
     ])
     def test_int_width_boundary_matches_generic(self, rng, total, dtype):
         # Numerators summing to `total` put 16 * sum just below, at and just
-        # above 2**30, the last int32 encoding and the first int64 ones.
-        q = (1 << 31) - 1  # prime: every weight k/q keeps the denominator q
+        # above 2**30 and 2**62: the last encoding of one width and the first
+        # ones of the next.  A prime q larger than `total` keeps every weight
+        # k/q over the denominator q.
+        q = (1 << 31) - 1 if total < 1 << 31 else (1 << 61) - 1
         for _ in range(2):
             size = rng.randint(29, 40)
             pos = sorted(rng.sample(range(2, 2 * size), size))
@@ -160,17 +163,14 @@ class TestFastPathAgreement:
             assert fastpaths.schreier_max_runs_alt(runs) == best
 
 
-WIDTHS = (np.int32, np.int64)
+WIDTHS = (np.int32, np.int64, object)
 
 
-def sentinel_of(dtype):
-    return int(np.iinfo(dtype).min // 2)
-
-
-def per_row_family_dp(table, n, pos, session, sentinel):
-    """The partition recurrence one row and one column at a time."""
+def per_row_family_dp(table, n, pos, session):
+    """The partition recurrence one row and one column at a time; None marks
+    the rows with fewer than two admissible groups."""
     caps = [min(pos[t], n - t) for t in range(n)]
-    fam = [sentinel] * n
+    fam = [None] * n
     rmax = max(caps)
     if rmax < 2:
         return fam
@@ -225,16 +225,25 @@ def per_element_g_table(pos, wq, s, sentinel):
 
 
 def random_group_table(rng, n, dtype):
-    """Upper-triangular group values, the dtype's sentinel below the diagonal."""
-    table = np.full((n, n), sentinel_of(dtype), dtype=dtype)
+    """Upper-triangular group values, the width's sentinel below the diagonal."""
+    table = np.zeros((n, n), dtype=dtype)
     for u in range(n):
         for c in range(u, n):
             table[u, c] = rng.randint(0, 10 ** 6)
+    table[np.tril_indices(n, -1)] = fastpaths._sentinel(table)
     return table
 
 
 class TestFamilyKernel:
-    # Each test runs on both table widths.
+    # Each test runs on every table width.
+    def test_sentinels(self):
+        # The fixed widths keep half their minimum; Python ints go below
+        # -16 times the sum of the real (never negative) values.
+        for dtype in (np.int32, np.int64):
+            assert fastpaths._sentinel(np.array([5], dtype)) == np.iinfo(dtype).min // 2
+        values = np.array([3, 0, 1 << 70, -(1 << 90)], dtype=object)
+        assert fastpaths._sentinel(values) < -16 * (3 + (1 << 70))
+
     @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 97, 129])
     def test_matches_per_row_recurrence(self, rng, n):
         for dtype in WIDTHS:
@@ -242,17 +251,17 @@ class TestFamilyKernel:
                 table = random_group_table(rng, n, dtype)
                 session, ref_session = EvalSession(), EvalSession()
                 fam = fastpaths._family_dp(table, n, pos, session)
-                expected = per_row_family_dp(table.tolist(), n, pos, ref_session,
-                                             sentinel_of(dtype))
+                expected = per_row_family_dp(table.tolist(), n, pos, ref_session)
+                sentinel = fastpaths._sentinel(table[:n, n - 1])
                 assert fam.dtype == dtype
-                assert fam.tolist() == expected
+                assert fam.tolist() == [sentinel if v is None else v for v in expected]
                 assert session.stats == ref_session.stats
 
     def test_sentinel_in_covers_is_refused(self, rng):
         n = 40
         for dtype in WIDTHS:
             table = random_group_table(rng, n, dtype)
-            table[n // 2, n - 1] = sentinel_of(dtype)
+            table[n // 2, n - 1] = table[n - 1, 0]  # a sentinel from below the diagonal
             with pytest.raises(RuntimeError, match="sentinel"):
                 fastpaths._family_dp(table, n, list(range(n, 2 * n)), EvalSession())
 
@@ -264,9 +273,10 @@ class TestFamilyKernel:
             pos = sorted(rng.sample(range(1, s + 6), s))
             wq = [rng.randint(1, 40) for _ in range(s)]
             session = EvalSession()
-            g = fastpaths._g_table(pos, np.array(wq, dtype=dtype), s, session)
+            wq_arr = np.array(wq, dtype=dtype)
+            g = fastpaths._g_table(pos, wq_arr, s, session)
             assert g.dtype == dtype
-            assert g.tolist() == per_element_g_table(pos, wq, s, sentinel_of(dtype))
+            assert g.tolist() == per_element_g_table(pos, wq, s, fastpaths._sentinel(wq_arr))
             assert session.stats["tables_built"] == s * (s + 1) // 2
 
 
@@ -371,6 +381,9 @@ class TestHugeBlockFastPaths:
         assert iterate_norm(x, 2, PL) == F(1, 10 ** 6)
 
 
+PRIMES = [p for p in range(2, 600) if all(p % d for d in range(2, p))]
+
+
 def random_support(rng, size, denominators=None):
     pos = sorted(rng.sample(range(2, 2 * size), size))
     dens = denominators or [rng.randint(1, 12) for _ in pos]
@@ -393,15 +406,26 @@ class TestDispatchBoundaries:
         assert iterate_norm(x, k, FJ, session) == generic_value(x, k)
         assert (session.stats["tables_built"] > 0) == dp_ran
 
-    def test_representation_refusal_falls_back_to_generic(self, rng):
-        primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))][:40]
-        x = random_support(rng, 40, primes)
-        with pytest.raises(BudgetExceededError) as err:
-            fastpaths.level2_top_points(*zip(*x.entries()))
-        assert err.value.reason == "representation"
+    def test_wide_numerators_run_the_object_width_dp(self, rng):
+        x = random_support(rng, 40, PRIMES[:40])
+        wq_arr, _ = fastpaths._encode([v for _, v in x.entries()], 40, 2)
+        assert wq_arr.dtype == object
         session = EvalSession()
         assert iterate_norm(x, 2, FJ, session) == generic_value(x, 2)
-        assert session.stats["tables_built"] == 0
+        assert session.stats["tables_built"] > 0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_object_width_point_cap(self, rng, k):
+        x = random_support(rng, GENERIC_SUPPORT_LIMIT, PRIMES[:GENERIC_SUPPORT_LIMIT])
+        session = EvalSession()
+        assert iterate_norm(x, k, FJ, session) >= cheap_lower_bound(x, k, FJ)
+        assert session.stats["tables_built"] > 0
+        extra = {2 * x.max_index: F(1, PRIMES[GENERIC_SUPPORT_LIMIT])}
+        wider = x + FiniteVector.from_entries(extra)
+        with pytest.raises(BudgetExceededError) as err:
+            iterate_norm(wider, k, FJ)
+        assert err.value.reason == "size-limit" and "int64" in str(err.value)
+        assert err.value.lower_bound == cheap_lower_bound(wider, k, FJ)
 
     def test_level3_point_limit(self, rng):
         x = random_support(rng, fastpaths.LEVEL3_POINT_LIMIT)
