@@ -1,7 +1,11 @@
 """Reference evaluator for iterate and limit norms on small supports.
 
-Works directly on the support points with exact rationals and memoised
-recursion over support subintervals.  The search space is reduced to
+Works directly on the support points with memoised recursion over support
+subintervals.  Values are Python-int numerators over one common denominator
+``D = 2**s * Q`` (``Q`` the lcm of the weights' denominators, ``s`` the
+support size): a window's value is halved at most once per strictly smaller
+nested window, so every level and the limit stay integral over ``D``.  Only
+the public methods build ``Fraction`` values.  The search space is reduced to
 families of consecutive point groups covering a suffix of the window; the
 reduction leans on 1-unconditionality and suppression, which the exhaustive
 oracle re-checks independently in the test suite.
@@ -10,6 +14,7 @@ oracle re-checks independently in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .rules import AdmissibilityRule
 from .session import EvalSession
@@ -36,12 +41,14 @@ class SmallEvaluator:
         if len(pos) != len(w):
             raise ValueError("positions and weights must have equal length")
         self.pos = pos
-        self.w = w
         self.s = len(pos)
         self.rule = rule
         self.session = session or EvalSession()
-        # Memo tables live in the session, fingerprinted by the vector so a
-        # session shared across related evaluations never mixes values.
+        self.denominator = (1 << self.s) * lcm(*(v.denominator for v in w))
+        self._num = [v.numerator * (self.denominator // v.denominator) for v in w]
+        # Memo tables live in the session, fingerprinted by the vector (which
+        # fixes the denominator) so a session shared across related
+        # evaluations never mixes values or scales.
         fingerprint = (tuple(pos), tuple(w), rule.value)
         self._value_memo = self.session.memo.setdefault(("values", fingerprint), {})
         self._parts_memo = self.session.memo.setdefault(("parts", fingerprint), {})
@@ -51,7 +58,7 @@ class SmallEvaluator:
     def iterate(self, k: int) -> Fraction:
         if self.s == 0:
             return Fraction(0)
-        return self._value(0, self.s - 1, k)
+        return Fraction(self._value(0, self.s - 1, k), self.denominator)
 
     def limit(self) -> Fraction:
         if self.s == 0:
@@ -61,14 +68,14 @@ class SmallEvaluator:
             # passes the largest support index: the sequence is constant
             # from that level on.
             return self.iterate(self.pos[-1] + 1)
-        return self._value(0, self.s - 1, LIMIT_KEY)
+        return Fraction(self._value(0, self.s - 1, LIMIT_KEY), self.denominator)
 
     # -- recursion ----------------------------------------------------------
 
-    def _sup(self, a: int, b: int) -> Fraction:
-        return max(self.w[a:b + 1])
+    def _sup(self, a: int, b: int) -> int:
+        return max(self._num[a:b + 1])
 
-    def _value(self, a: int, b: int, key) -> Fraction:
+    def _value(self, a: int, b: int, key) -> int:
         memo = self._value_memo
         cached = memo.get((a, b, key))
         if cached is not None:
@@ -92,13 +99,13 @@ class SmallEvaluator:
             memo[(a, b, level)] = result
         return result
 
-    def _family_max(self, a: int, b: int, group_key, step_k: int | None) -> Fraction:
+    def _family_max(self, a: int, b: int, group_key, step_k: int | None) -> int:
         """Half the best admissible-family sum over the window [a..b].
 
         Families are consecutive point groups covering [t..b] for some start
         t; single-group families never set the maximum and are skipped.
         """
-        best = Fraction(0)
+        best = 0
         for t in range(a, b + 1):
             count = b - t + 1
             if self.rule is AdmissibilityRule.FIGIEL_JOHNSON or group_key == LIMIT_KEY:
@@ -112,13 +119,15 @@ class SmallEvaluator:
                 cap = min(step_k - 1, count)
             if cap < 2:
                 continue
-            self.session.stats["families_enumerated"] += 1
+            self.session.charge(1, "families_enumerated")
             candidate = self._parts(t, cap, b, group_key)
             if candidate > best:
                 best = candidate
-        return best / 2
+        if best & 1:
+            raise RuntimeError(f"odd family numerator {best} over {self.denominator}")
+        return best >> 1
 
-    def _parts(self, u: int, r: int, b: int, group_key) -> Fraction:
+    def _parts(self, u: int, r: int, b: int, group_key) -> int:
         """Best sum of group values over partitions of [u..b] into r groups."""
         if r == 1:
             return self._value(u, b, group_key)

@@ -167,6 +167,12 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "--level", "limit", "3:1,4:1,5:1")
         assert code == 0 and out.strip() == "3/2"
 
+    @pytest.mark.parametrize("vector", ["900:1,901:1", "2000:1,2001:1"])
+    def test_literal_limit_far_out(self, capsys, vector):
+        # The literal-rule limit climbs one level per support index.
+        code, out, _ = run(capsys, "oracle", "--rule", "paper", "--level", "limit", vector)
+        assert code == 0 and out.strip() == "1"
+
     def test_too_large(self, capsys):
         code, _, err = run(capsys, "oracle", "--level", "1", "1..12:1")
         assert code == 2 and "oracle" in err

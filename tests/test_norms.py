@@ -100,6 +100,109 @@ class TestOracle:
                     assert got == expected, (x, rule, k)
 
 
+def fraction_oracle(x, k, rule):
+    """Exhaustive oracle on Fraction values: tuple-of-points memo keys, one
+    recursion per level, a division at every family.  An independent check
+    of the integer-numerator bitmask oracle."""
+    points = tuple(x.entries())
+    if not points:
+        return F(0)
+
+    def sup(pts):
+        return max(abs(v) for _, v in pts)
+
+    def subsets(pts):
+        for mask in range(1, 1 << len(pts)):
+            yield tuple(pts[i] for i in range(len(pts)) if mask >> i & 1)
+
+    def chunkings(subset):
+        for cuts in range(1 << (len(subset) - 1)):
+            chunks, start = [], 0
+            for i in range(len(subset) - 1):
+                if cuts >> i & 1:
+                    chunks.append(subset[start:i + 1])
+                    start = i + 1
+            yield chunks + [subset[start:]]
+
+    memo = {}
+
+    def level(pts, j):
+        if (pts, j) not in memo:
+            result = sup(pts) if j == 0 else level(pts, j - 1)
+            for subset in subsets(pts) if j else ():
+                for chunks in chunkings(subset):
+                    n, first = len(chunks), subset[0][0]
+                    if (n > first if rule is FJ else n > j - 1 or first < j - 1):
+                        continue
+                    result = max(result, sum(level(c, j - 1) for c in chunks) / 2)
+            memo[pts, j] = result
+        return memo[pts, j]
+
+    def limit(pts):
+        if (pts, "T") not in memo:
+            result = sup(pts)
+            for subset in subsets(pts):
+                for chunks in chunkings(subset):
+                    if len(chunks) > subset[0][0] or chunks == [pts]:
+                        continue
+                    result = max(result, sum(limit(c) for c in chunks) / 2)
+            memo[pts, "T"] = result
+        return memo[pts, "T"]
+
+    if k is None:
+        return limit(points) if rule is FJ else level(points, points[-1][0] + 1)
+    return level(points, k)
+
+
+class TestIntegerNumerators:
+    def test_oracle_matches_fraction_oracle(self):
+        rng = random.Random(9)
+        for _ in range(60):
+            x = random_vector(rng, max_support=5, max_index=12)
+            for rule in (FJ, PL):
+                for k in (0, 1, 2, 3, 4, None):
+                    assert brute_force_norm(x, k, rule) == fraction_oracle(x, k, rule), \
+                        (x, rule, k)
+
+    def test_parity_guard_refuses_odd_numerator(self):
+        # D = 2**2 * 1; an odd numerator in a piece makes the family sum odd.
+        se = SmallEvaluator([2, 3], [F(1), F(1)], FJ)
+        assert se.denominator == 4
+        se._value_memo[(0, 0, 0)] = 3
+        with pytest.raises(RuntimeError, match="odd family numerator"):
+            se.iterate(1)
+
+    def test_shared_session_matches_fresh(self, rng):
+        # stabilization_level runs limit() and then iterate(k) on one session.
+        for _ in range(30):
+            x = random_vector(rng, max_support=7, max_index=14)
+            pos, w = zip(*((i, abs(v)) for i, v in x.entries()))
+            for rule in (FJ, PL):
+                shared = EvalSession()
+                limit = SmallEvaluator(list(pos), list(w), rule, shared).limit()
+                assert limit == SmallEvaluator(list(pos), list(w), rule).limit()
+                for k in range(5):
+                    fresh = SmallEvaluator(list(pos), list(w), rule).iterate(k)
+                    assert SmallEvaluator(list(pos), list(w), rule, shared).iterate(k) == fresh
+
+    def test_families_enumerated_is_charged(self, rng):
+        for _ in range(20):
+            x = random_vector(rng, max_support=8, max_index=16)
+            pos, w = zip(*((i, abs(v)) for i, v in x.entries()))
+            se = SmallEvaluator(list(pos), list(w), FJ)
+            se.limit()
+            assert se.session.used == sum(se.session.stats.values())
+        # Families count against the budget: ranges and transitions alone fall short.
+        pos, w = list(range(2, 12)), [F(1, i) for i in range(2, 12)]
+        se = SmallEvaluator(pos, w, FJ)
+        se.limit()
+        stats = se.session.stats
+        assert stats["families_enumerated"] > 0
+        budget = stats["ranges_evaluated"] + stats["dp_transitions"]
+        with pytest.raises(BudgetExceededError):
+            SmallEvaluator(pos, w, FJ, EvalSession(budget)).limit()
+
+
 class TestFastPathAgreement:
     def test_levels_1_2_3_match_generic(self, rng):
         for _ in range(40):
