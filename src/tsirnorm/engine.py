@@ -21,8 +21,8 @@ from .session import EvalSession
 
 __all__ = ["SmallEvaluator", "GENERIC_SUPPORT_LIMIT", "LIMIT_KEY"]
 
-# Past this support size the pure-rational recursion becomes too slow; the
-# dispatcher must route to a specialised path or raise a budget error.
+# The dispatcher sends this evaluator at most 28 points; this is the most
+# points the integer tables of ``fastpaths`` take in their Python-int width.
 GENERIC_SUPPORT_LIMIT = 96
 
 LIMIT_KEY = "T"

@@ -5,16 +5,16 @@ Two families of shortcuts:
 * run-compressed closed forms for the sup norm, the l1 norm, and the first
   iterate on block-constant vectors (supports may span millions of indices;
   work is polynomial in the number of runs);
-* integer-encoded dynamic programs for the second and third iterates on
-  explicit point supports up to a few thousand points (all values are
-  numerators over one common denominator, so numpy's max/plus kernels apply
-  in the narrowest width that a size bound on the numerators certifies:
-  int32, int64, or Python ints in an object array).  Both levels run one
-  max-plus partition kernel, ``_family_dp``: level 2 over the first-iterate
-  table, level 3 over the second-iterate table, which itself runs the kernel
-  once per right end.  The kernel works on the upper triangle in fixed
-  blocks of rows, one numpy add and one row-wise max per block, and checks
-  at every step that no sentinel can meet another sentinel.
+* one integer table tower, ``top_points``, for every level from 2 on, the
+  limit and both rules on explicit point supports (2600 points at level 2,
+  240 once a table past level 1 is built).  Values are numerators over one
+  common denominator in the narrowest width a bound on them certifies:
+  int32, int64, or Python ints in an object array (at most 96 points),
+  widened as the climb doubles them.  Each rung runs one max-plus partition
+  kernel, ``_family_dp``, per right end; the requested level runs it once.
+  The kernel works on the upper triangle in blocks of rows, one numpy add
+  and one row-wise max per block, and checks at every step that no sentinel
+  can meet another sentinel.
 
 Both Schreier maximisers are exact: the objective is piecewise linear in
 their scan parameter, and every breakpoint lands in the enumerated
@@ -24,12 +24,14 @@ as independent cross-checks of each other.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
 from .engine import GENERIC_SUPPORT_LIMIT
+from .rules import AdmissibilityRule
 from .session import BudgetExceededError, EvalSession
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "level1_runs",
     "level2_top_points",
     "level3_top_points",
+    "top_points",
     "LEVEL2_POINT_LIMIT",
     "LEVEL3_POINT_LIMIT",
 ]
@@ -221,29 +224,28 @@ def level1_runs(runs) -> Fraction:
 # Integer-encoded point tables
 # ---------------------------------------------------------------------------
 
-def _encode(weights, limit: int, level: int) -> tuple[np.ndarray, int]:
-    """Numerators over the common denominator Q of a support the level DP admits.
+def _encode(weights, limit: int, what: str, level: int = 4) -> tuple[np.ndarray, int]:
+    """Numerators over the common denominator Q, in a width certified to ``level``.
 
-    The one place that picks the number width.  Every table value stays
-    below 16 times the numerators' sum, so the array takes the narrowest
-    certified width: int32 when that bound is below 2**30 (half the dtype's
-    minimum is the sentinel, so a sentinel plus a real value stays
-    representable), int64 below 2**62, else Python ints in an object array.
-    A Python-int transition costs 5-100 times an int64 one, more as the
-    numerators grow, so that width is admitted only up to
-    GENERIC_SUPPORT_LIMIT points.  Supports past
-    the level's point limit or that cap are refused as ``size-limit``.
+    The one place that picks the number width.  A level-j value is at most
+    2**j times the numerators' sum (a norm never exceeds the l1 norm), so the
+    array takes the narrowest width that holds 2**max(level, 4) times it:
+    int32 below 2**30 (half the dtype's minimum is the sentinel, so a
+    sentinel plus a real value stays representable), int64 below 2**62,
+    else Python ints in an object array.  A Python-int transition costs
+    5-100 times an int64 one, more as the numerators grow, so that width is
+    admitted only up to GENERIC_SUPPORT_LIMIT points.  Supports past
+    ``limit`` points or that cap are refused as ``size-limit``.
     """
     if len(weights) > limit:
         raise BudgetExceededError(
-            f"support {len(weights)} exceeds level-{level} point limit", reason="size-limit"
-        )
+            f"{what}: support {len(weights)} exceeds the {limit}-point limit", reason="size-limit")
     q = lcm(*(w.denominator for w in weights))
-    wq = [int(w * q) for w in weights]
-    bound = 16 * sum(wq)
+    wq = [w.numerator * (q // w.denominator) for w in weights]
+    bound = sum(wq) << max(level, 4)
     if bound >= 1 << 62 and len(weights) > GENERIC_SUPPORT_LIMIT:
         raise BudgetExceededError(
-            f"level-{level} numerators of {len(weights)} points pass int64; the Python-int "
+            f"{what}: numerators of {len(weights)} points pass int64; the Python-int "
             f"width takes at most {GENERIC_SUPPORT_LIMIT} points", reason="size-limit")
     dtype = np.int32 if bound < 1 << 30 else np.int64 if bound < 1 << 62 else object
     return np.array(wq, dtype=dtype), q
@@ -297,18 +299,19 @@ def _level1_table(pos, wq_arr, s, session) -> np.ndarray:
     return l1
 
 
-def _family_dp(table: np.ndarray, n: int, pos, session: EvalSession) -> np.ndarray:
+def _family_dp(table: np.ndarray, n: int, caps, session: EvalSession) -> np.ndarray:
     """Family numerators for all starts, families covering points t..n-1.
 
     ``table[u, c]`` is the group value of points u..c (sentinel below the
-    diagonal).  Returns fam[t] = best cover of points t..n-1 by
-    min(pos[t], n-t) groups, in the table's denominator and dtype, or the
+    diagonal) and ``caps[t]`` the most groups a family starting at point t
+    may have.  Returns fam[t] = best cover of points t..n-1 by
+    min(caps[t], n-t) groups, in the table's denominator and dtype, or the
     sentinel where fewer than two groups are admissible.  Step r adds one
     leading group to the (r-1)-group covers: cur[u] = max over c of
     table[u, c] + prev[c+1], evaluated in row blocks so that each block is
     one add and one max.
     """
-    caps = np.array([min(p, n - t) for t, p in enumerate(pos[:n])], dtype=np.int64)
+    caps = np.array([min(p, n - t) for t, p in enumerate(caps[:n])], dtype=np.int64)
     fam = np.full(n, _sentinel(table[:n, n - 1]), dtype=table.dtype)
     rmax = int(caps.max(initial=0))
     if rmax < 2:
@@ -335,41 +338,55 @@ def _family_dp(table: np.ndarray, n: int, pos, session: EvalSession) -> np.ndarr
     return fam
 
 
+def top_points(pos: list[int], weights: list[Fraction], rule: AdmissibilityRule,
+               k: int | None, session: EvalSession | None = None) -> list[Fraction]:
+    """Exact values of levels 0, 1, ... up to k (None: the limit) of a point support.
+
+    Rung j builds L_j[u, b] = max(2 L_{j-1}[u, b], 2**j w[t], fam_b[t] for t
+    in u..b) over 2**j Q, fam_b covering the points t..b by at most pos[t]
+    groups (literal rule: j-1 groups from index j-1 on).  Level k needs one
+    DP, over the whole support.  A rung that only doubles its table ends the
+    climb; under the literal rule only once j-1 >= s, where options shrink.
+    """
+    s = len(pos)
+    if s == 0:
+        return [Fraction(0)]
+    fj = rule is AdmissibilityRule.FIGIEL_JOHNSON
+    what = "the limit" if k is None else f"level {k}"
+    limit = LEVEL2_POINT_LIMIT if fj and k == 2 else LEVEL3_POINT_LIMIT
+    wq_arr, q = _encode(weights, limit, what)
+    session = session or EvalSession()
+    # Level 1.  With caps of 1 the G part is a window maximum, below 2 w[t]:
+    # the literal rule's step 1 admits no family.
+    table = _level1_table(pos if fj else [1] * s, wq_arr, s, session)
+    tops = [Fraction(int(wq_arr.max()), q), Fraction(int(table[0, -1]), 2 * q)]
+    for j in itertools.count(2) if k is None else range(2, k + 1):
+        sup = (1 << j) * _encode(weights, limit, what, j)[0]
+        # This rung reads only values that the old width certified, so its
+        # sentinels below the diagonal still hold; the values it makes may not.
+        table = table.astype(sup.dtype, copy=False)
+        caps = pos if fj else [j - 1 if p >= j - 1 else 0 for p in pos]
+        if j == k:
+            fam = _family_dp(table, s, caps, session)
+            return tops + [Fraction(int(max(2 * table[0, -1], sup.max(), fam.max())), q << j)]
+        below, table = table, np.full_like(table, _sentinel(table))
+        for b in range(s):
+            best = np.maximum(_family_dp(below, b + 1, caps, session), sup[:b + 1])
+            best = np.maximum.accumulate(best[::-1])[::-1]
+            table[:b + 1, b] = np.maximum(best, 2 * below[:b + 1, b])
+        tops.append(Fraction(int(table[0, -1]), q << j))
+        if (fj or j > s) and np.array_equal(np.triu(table), np.triu(2 * below)):
+            return tops
+    return tops[:k + 1]
+
+
 def level2_top_points(pos: list[int], weights: list[Fraction],
                       session: EvalSession | None = None) -> Fraction:
     """Exact second iterate (Figiel-Johnson) of an explicit point support."""
-    s = len(pos)
-    if s == 0:
-        return Fraction(0)
-    wq_arr, q = _encode(weights, LEVEL2_POINT_LIMIT, 2)
-    session = session or EvalSession()
-    l1 = _level1_table(pos, wq_arr, s, session)
-    fam = _family_dp(l1, s, pos, session)
-    return Fraction(int(max(4 * wq_arr.max(), fam.max())), 4 * q)
-
-
-def _level2_table(pos, wq_arr, s, session) -> np.ndarray:
-    """L2[u, b]: second-iterate value of points u..b, numerator over 4Q.
-
-    L2[u, b] = max over t in u..b of max(4 w[t], fam_b[t]), with fam_b the
-    family numerators of the points up to b.
-    """
-    l1 = _level1_table(pos, wq_arr, s, session)
-    l2 = np.full_like(l1, _sentinel(l1))
-    for b in range(s):
-        best = np.maximum(_family_dp(l1, b + 1, pos, session), 4 * wq_arr[:b + 1])
-        l2[:b + 1, b] = np.maximum.accumulate(best[::-1])[::-1]
-    return l2
+    return top_points(pos, weights, AdmissibilityRule.FIGIEL_JOHNSON, 2, session)[-1]
 
 
 def level3_top_points(pos: list[int], weights: list[Fraction],
                       session: EvalSession | None = None) -> Fraction:
     """Exact third iterate (Figiel-Johnson) of an explicit point support."""
-    s = len(pos)
-    if s == 0:
-        return Fraction(0)
-    wq_arr, q = _encode(weights, LEVEL3_POINT_LIMIT, 3)
-    session = session or EvalSession()
-    l2 = _level2_table(pos, wq_arr, s, session)
-    fam = _family_dp(l2, s, pos, session)
-    return Fraction(int(max(8 * wq_arr.max(), fam.max())), 8 * q)
+    return top_points(pos, weights, AdmissibilityRule.FIGIEL_JOHNSON, 3, session)[-1]

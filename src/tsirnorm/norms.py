@@ -1,12 +1,12 @@
 """Norm specifications and the exact evaluation dispatcher.
 
 Each spec carries its own ``evaluate(x, session)``, ``lower_bound(x)`` and
-``__str__``; ``norm_eval`` is ``spec.evaluate``.  ``iterate_norm`` takes one
+``__str__``; ``norm_eval`` is ``spec.evaluate``.  Evaluation takes one
 path: closed forms on run-compressed vectors (levels 0 and 1, the literal
-rule to level 2), then one integer dynamic program for levels 2 and 3 past
-the small-support cutoff (it picks its own number width), else the generic
-rational evaluator.  A refusal is a ``BudgetExceededError`` carrying a
-certified lower bound.
+rule to level 2); then the generic rational evaluator on supports of at most
+28 points; past them the integer table tower of ``fastpaths`` for every
+level, the limit and both rules (it picks its own number width).  A refusal
+is a ``BudgetExceededError`` carrying a certified lower bound.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fastpaths
-from .engine import GENERIC_SUPPORT_LIMIT, SmallEvaluator
+from .engine import SmallEvaluator
 from .rules import AdmissibilityRule
 from .session import BudgetExceededError, EvalSession
 from .vectors import FiniteVector, l1_norm, sup_norm
@@ -38,7 +38,8 @@ __all__ = [
 _FJ = AdmissibilityRule.FIGIEL_JOHNSON
 _PL = AdmissibilityRule.PAPER_LITERAL
 
-# Point supports up to this size always go through the generic evaluator.
+# Point supports up to this size go through the generic evaluator, larger
+# ones through the table tower.
 _SMALL_CUTOFF = 28
 
 
@@ -116,6 +117,10 @@ NormSpec = Ell1 | Sup | Iterate | TsirelsonLimit | Join
 
 
 def _abs_points(x: FiniteVector) -> tuple[list[int], list[Fraction]]:
+    """x's points and absolute weights, refused before they are built past every point limit."""
+    if x.support_size > fastpaths.LEVEL2_POINT_LIMIT:
+        raise BudgetExceededError(f"no exact path at support size {x.support_size}",
+                                  reason="size-limit")
     pos, w = [], []
     for i, v in x.entries():
         pos.append(i)
@@ -145,15 +150,27 @@ def cheap_lower_bound(x: FiniteVector, k: int | None, rule: AdmissibilityRule) -
     return lb
 
 
-def _generic(x: FiniteVector, rule: AdmissibilityRule, session: EvalSession | None,
-             what: str) -> SmallEvaluator:
-    """Generic evaluator on x's points; refuses supports past its limit."""
-    size = x.support_size
-    if size > GENERIC_SUPPORT_LIMIT:
-        raise BudgetExceededError(f"no exact path for {what} at support size {size}",
-                                  reason="size-limit")
-    pos, w = _abs_points(x)
-    return SmallEvaluator(pos, w, rule, session or EvalSession())
+def _exact(x: FiniteVector, k: int | None, rule: AdmissibilityRule,
+           session: EvalSession | None) -> list[Fraction]:
+    """x's level k (None: the limit), last in the list of the levels climbed.
+
+    The generic evaluator, up to _SMALL_CUTOFF points, lists only that value.
+    Figiel-Johnson levels 2 and 3 are looked up at call time, so rebinding
+    them (as a tracer does) reaches this call.  Refusals carry cheap_lower_bound.
+    """
+    try:
+        points = _abs_points(x)
+        if x.support_size <= _SMALL_CUTOFF:
+            evaluator = SmallEvaluator(*points, rule, session or EvalSession())
+            return [evaluator.limit() if k is None else evaluator.iterate(k)]
+        if rule is _FJ and k == 2:
+            return [fastpaths.level2_top_points(*points, session)]
+        if rule is _FJ and k == 3:
+            return [fastpaths.level3_top_points(*points, session)]
+        return fastpaths.top_points(*points, rule, k, session)
+    except BudgetExceededError as exc:
+        exc.lower_bound = cheap_lower_bound(x, k, rule)
+        raise
 
 
 def iterate_norm(x: FiniteVector, k: int, rule: AdmissibilityRule = _FJ,
@@ -171,32 +188,15 @@ def iterate_norm(x: FiniteVector, k: int, rule: AdmissibilityRule = _FJ,
         return sup_norm(x)
     if rule is _FJ and k == 1:
         return fastpaths.level1_runs(_abs_runs(x))
-
-    size = x.support_size
-    try:
-        if rule is _FJ and k in (2, 3):
-            # Looked up at call time, so rebinding the module attribute
-            # (as a tracer does) reaches this call.
-            dp, limit = ((fastpaths.level2_top_points, fastpaths.LEVEL2_POINT_LIMIT) if k == 2
-                         else (fastpaths.level3_top_points, fastpaths.LEVEL3_POINT_LIMIT))
-            if _SMALL_CUTOFF < size <= limit:
-                return dp(*_abs_points(x), session)
-        return _generic(x, rule, session, f"level {k}").iterate(k)
-    except BudgetExceededError as exc:
-        exc.lower_bound = cheap_lower_bound(x, k, rule)
-        raise
+    return _exact(x, k, rule, session)[-1]
 
 
 def tsirelson_norm(x: FiniteVector, rule: AdmissibilityRule = _FJ,
                    session: EvalSession | None = None) -> Fraction:
-    """Exact limit norm, computed by the well-founded fixed-point recursion."""
+    """Exact limit norm: the generic fixed-point recursion, or the tower's fixed point."""
     if x.is_zero:
         return Fraction(0)
-    try:
-        return _generic(x, rule, session, "the limit").limit()
-    except BudgetExceededError as exc:
-        exc.lower_bound = cheap_lower_bound(x, None, rule)
-        raise
+    return _exact(x, None, rule, session)[-1]
 
 
 def stabilization_level(x: FiniteVector, rule: AdmissibilityRule = _FJ,
@@ -208,16 +208,13 @@ def stabilization_level(x: FiniteVector, rule: AdmissibilityRule = _FJ,
     """
     if x.is_zero:
         return 0, Fraction(0)
-    try:
-        evaluator = _generic(x, rule, session, "the limit")
-        limit = evaluator.limit()
-        hard_cap = evaluator.s if rule is _FJ else x.max_index + 1
-        for k in range(hard_cap + 1):
-            if evaluator.iterate(k) == limit:
-                return k, limit
-    except BudgetExceededError as exc:
-        exc.lower_bound = cheap_lower_bound(x, None, rule)
-        raise
+    session = session or EvalSession()
+    levels = _exact(x, None, rule, session)
+    limit, tower = levels[-1], x.support_size > _SMALL_CUTOFF
+    hard_cap = x.support_size if rule is _FJ else x.max_index + 1
+    for k in range(hard_cap + 1):
+        if (levels[k] if tower else iterate_norm(x, k, rule, session)) == limit:
+            return k, limit
     raise AssertionError("iterates failed to stabilize below the provable cap")
 
 

@@ -87,8 +87,13 @@ def _level(index, num, k: int, rule: AdmissibilityRule) -> list[int]:
                 elif len(chunks) > j - 1 or first_index < j - 1:
                     continue
                 best[sub] = max(best[sub], sum(value[c] for c in chunks))
-        value = [0] + [max(2 * value[m], *(best[sub] for sub in _subsets(m)))
+        level = [0] + [max(2 * value[m], *(best[sub] for sub in _subsets(m)))
                        for m in sets]
+        # Once j-1 >= s no count cap binds and options never grow from step
+        # to step, so a level that only doubles every value repeats forever.
+        if j > len(num) and level == [2 * v for v in value]:
+            return [v << (k - j) for v in level]
+        value = level
     return value
 
 

@@ -40,12 +40,7 @@ __all__ = [
     "mpv",
     "RealizerResult",
     "approx_realizer",
-    "FLOAT_TOLERANCE",
 ]
-
-# Comparisons that mix float atoms with exact values are trusted to this
-# precision; all-exact evaluations never touch it.
-FLOAT_TOLERANCE = 2.0 ** -40
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,14 @@ class TestIntegerNumerators:
                 for k in (0, 1, 2, 3, 4, None):
                     assert brute_force_norm(x, k, rule) == fraction_oracle(x, k, rule), \
                         (x, rule, k)
+        # Far-out literal-rule supports: the bitmask oracle stops its climb
+        # once a level only doubles, the Fraction oracle climbs every level.
+        for _ in range(20):
+            s = rng.randint(1, 4)
+            x = vec({i: F(rng.randint(1, 5), rng.randint(1, 6))
+                     for i in rng.sample(range(20, 41), s)})
+            for k in (s + 1, s + 3, 30, None):
+                assert brute_force_norm(x, k, PL) == fraction_oracle(x, k, PL), (x, k)
 
     def test_parity_guard_refuses_odd_numerator(self):
         # D = 2**2 * 1; an odd numerator in a piece makes the family sum odd.
@@ -225,6 +233,38 @@ class TestFastPathAgreement:
             assert fastpaths.level2_top_points(pos, w) == se.iterate(2)
             assert fastpaths.level3_top_points(pos, w) == se.iterate(3)
 
+    def test_tower_matches_generic(self, rng, monkeypatch):
+        # 29-40 points, both rules: every level the tower climbs, levels
+        # 2-6, the limit and the stabilization level through the dispatcher.
+        # Far-out indices make the literal rule climb past the support size.
+        # In the last case the numerators over the prime q = 2**31 - 1 sum
+        # to 2**26 - 1: the tables start in int32 and that climb widens them
+        # to int64 at level 5 and to Python ints at level 37.
+        widths = []
+        kernel = fastpaths._family_dp
+        monkeypatch.setattr(fastpaths, "_family_dp", lambda table, *args: (
+            widths.append(table.dtype) or kernel(table, *args)))
+        q, total = (1 << 31) - 1, (1 << 26) - 1
+        cuts = sorted(rng.sample(range(1, total), 39))
+        for size, first, w in (
+                (29, 1, [F(1, rng.choice(PRIMES[:5])) for _ in range(29)]),
+                (35, 25, [F(1, rng.choice(PRIMES[:5])) for _ in range(35)]),
+                (40, 60, [F(b - a, q) for a, b in zip([0] + cuts, cuts + [total])])):
+            pos = sorted(rng.sample(range(first, first + 2 * size), size))
+            x = FiniteVector.from_entries(dict(zip(pos, w)))
+            for rule in (FJ, PL):
+                widths.clear()
+                se = SmallEvaluator(pos, w, rule)
+                levels = fastpaths.top_points(pos, w, rule, None)
+                assert levels == [se.iterate(j) for j in range(len(levels))]
+                assert levels[-1] == se.limit() == tsirelson_norm(x, rule)
+                assert stabilization_level(x, rule) == (levels.index(levels[-1]), levels[-1])
+                for k in range(3 if rule is PL else 2, 7):
+                    assert iterate_norm(x, k, rule) == se.iterate(k), (size, rule, k)
+        # The last case's literal-rule climb ran the kernel at every width.
+        assert list(dict.fromkeys(widths)) == [np.dtype(np.int32), np.dtype(np.int64),
+                                               np.dtype(object)]
+
     @pytest.mark.parametrize("total, dtype", [
         ((1 << 26) - 1, np.int32), (1 << 26, np.int64), ((1 << 26) + 5, np.int64),
         ((1 << 58) - 1, np.int64), (1 << 58, object), ((1 << 58) + 5, object),
@@ -240,7 +280,7 @@ class TestFastPathAgreement:
             pos = sorted(rng.sample(range(2, 2 * size), size))
             cuts = sorted(rng.sample(range(1, total), size - 1))
             w = [F(b - a, q) for a, b in zip([0] + cuts, cuts + [total])]
-            wq_arr, denominator = fastpaths._encode(w, fastpaths.LEVEL3_POINT_LIMIT, 3)
+            wq_arr, denominator = fastpaths._encode(w, fastpaths.LEVEL3_POINT_LIMIT, "level 3")
             assert (wq_arr.dtype, denominator, int(wq_arr.sum())) == (dtype, q, total)
             se = SmallEvaluator(pos, w, FJ)
             assert fastpaths.level2_top_points(pos, w) == se.iterate(2)
@@ -511,7 +551,7 @@ class TestDispatchBoundaries:
 
     def test_wide_numerators_run_the_object_width_dp(self, rng):
         x = random_support(rng, 40, PRIMES[:40])
-        wq_arr, _ = fastpaths._encode([v for _, v in x.entries()], 40, 2)
+        wq_arr, _ = fastpaths._encode([v for _, v in x.entries()], 40, "level 2")
         assert wq_arr.dtype == object
         session = EvalSession()
         assert iterate_norm(x, 2, FJ, session) == generic_value(x, 2)
@@ -540,6 +580,38 @@ class TestDispatchBoundaries:
             iterate_norm(wider, 3, FJ)
         assert err.value.reason == "size-limit"
         assert err.value.lower_bound == cheap_lower_bound(wider, 3, FJ)
+
+    @pytest.mark.parametrize("k", [4, None], ids=["level4", "limit"])
+    def test_tower_point_limit(self, rng, k):
+        # The full-table rungs take up to LEVEL3_POINT_LIMIT points, far past
+        # the generic evaluator's reach.
+        def evaluate(x, session=None):
+            return tsirelson_norm(x, FJ, session) if k is None else iterate_norm(x, k, FJ, session)
+
+        for size in (97, fastpaths.LEVEL3_POINT_LIMIT):
+            x = random_support(rng, size)
+            session = EvalSession()
+            assert evaluate(x, session) >= iterate_norm(x, 3, FJ)
+            assert session.stats["tables_built"] > 0
+        wider = x + FiniteVector.basis(2 * x.max_index)
+        with pytest.raises(BudgetExceededError) as err:
+            evaluate(wider)
+        assert err.value.reason == "size-limit"
+        assert err.value.lower_bound == cheap_lower_bound(wider, k, FJ)
+
+    def test_literal_rule_past_cutoff_runs_the_tower(self, rng):
+        # Heavy first points: from step 5 on the admissible families, which
+        # start at index 4 or later, fall short of the level below.
+        heavy = FiniteVector.from_entries({i: F(1) if i < 6 else F(1, 1000)
+                                           for i in range(3, 32)})
+        for x in (random_support(rng, 29), heavy):
+            pos, w = zip(*x.entries())
+            se = SmallEvaluator(list(pos), list(w), PL)
+            for k in range(3, 7):
+                session = EvalSession()
+                assert iterate_norm(x, k, PL, session) == se.iterate(k)
+                assert session.stats["tables_built"] > 0
+                assert session.stats["ranges_evaluated"] == 0
 
 
 class TestRefusalBounds:
