@@ -346,7 +346,8 @@ def top_points(pos: list[int], weights: list[Fraction], rule: AdmissibilityRule,
     in u..b) over 2**j Q, fam_b covering the points t..b by at most pos[t]
     groups (literal rule: j-1 groups from index j-1 on).  Level k needs one
     DP, over the whole support.  A rung that only doubles its table ends the
-    climb; under the literal rule only once j-1 >= s, where options shrink.
+    climb; under the literal rule only once every cap j-1 spans its point's
+    whole window, from where the options can only shrink.
     """
     s = len(pos)
     if s == 0:
@@ -375,7 +376,8 @@ def top_points(pos: list[int], weights: list[Fraction], rule: AdmissibilityRule,
             best = np.maximum.accumulate(best[::-1])[::-1]
             table[:b + 1, b] = np.maximum(best, 2 * below[:b + 1, b])
         tops.append(Fraction(int(table[0, -1]), q << j))
-        if (fj or j > s) and np.array_equal(np.triu(table), np.triu(2 * below)):
+        settled = fj or all(s - t <= j - 1 for t, p in enumerate(pos) if p >= j - 1)
+        if settled and np.array_equal(np.triu(table), np.triu(2 * below)):
             return tops
     return tops[:k + 1]
 

@@ -302,6 +302,7 @@ def order_property_matrix(max_level: int, pool: list[FiniteVector] | None = None
     if rule is _FJ:
         cert = ratio_certificate(1, 4, session)
         _raise_entry(entries, 2, 1, cert.lower_bound, cert.x, "witness-certificate")
+    if rule is _FJ and max_level >= 3:
         found = ratio_search(Iterate(3, rule), Iterate(2, rule), budget, seed=0,
                              session=session)
         _raise_entry(entries, 3, 2, found.lower_bound, found.x, "ratio-search")

@@ -8,6 +8,7 @@ either verifies or the construction fails loudly; nothing is approximated.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -429,28 +430,24 @@ def ratio_search(num: NormSpec, den: NormSpec, budget: SearchBudget | None = Non
     only extends the candidate pool, so the result never decreases.
     """
     budget = budget or SearchBudget()
-    best = CertifiedRatio(FiniteVector.basis(1), num, den, Fraction(1), True, True)
     t1 = FiniteVector.basis(1)
-    base_num, base_exact = _certified_lower(num, t1, EvalSession(budget.work_units))
-    base_den, base_den_exact = _certified_upper(den, t1, EvalSession(budget.work_units))
-    best.lower_bound = base_num / base_den
-    best.numerator_exact, best.denominator_exact = base_exact, base_den_exact
-
-    stream = _candidate_stream(seed, pool)
-    for _ in range(budget.max_candidates):
-        try:
-            x = next(stream)
-        except StopIteration:
-            break
-        if x.is_zero or x.support_size > budget.max_support:
+    stream = itertools.islice(_candidate_stream(seed, pool), budget.max_candidates)
+    best = None
+    for x in itertools.chain([t1], stream):
+        if x is not t1 and (x.is_zero or x.support_size > budget.max_support):
             continue
-        session = EvalSession(budget.work_units)
-        num_val, num_exact = _certified_lower(num, x, session)
-        den_val, den_exact = _certified_upper(den, x, session)
+        # Each candidate gets the whole work budget; the caller's session
+        # only counts the work.
+        own = EvalSession(budget.work_units)
+        num_val, num_exact = _certified_lower(num, x, own)
+        den_val, den_exact = _certified_upper(den, x, own)
+        if session is not None:
+            for key, units in own.stats.items():
+                session.stats[key] += units
         if den_val == 0:
             raise ArithmeticError("norm upper bound of a nonzero vector is zero")
         ratio = num_val / den_val
-        if ratio > best.lower_bound:
+        if best is None or ratio > best.lower_bound:
             best = CertifiedRatio(x, num, den, ratio, num_exact, den_exact)
     return best
 
@@ -482,7 +479,8 @@ _MAX_BASE_PARTS = 20
 
 
 def dichotomy_probe(targets: list[Fraction], budget: SearchBudget | None = None,
-                    levels: list[int] | None = None) -> list[DichotomyEntry]:
+                    levels: list[int] | None = None,
+                    session: EvalSession | None = None) -> list[DichotomyEntry]:
     """Attempt certified growth ratios >= targets along increasing level pairs.
 
     Only the unbounded-growth alternative is ever certified; a miss is
@@ -502,11 +500,12 @@ def dichotomy_probe(targets: list[Fraction], budget: SearchBudget | None = None,
         if k_lo == 1:
             n = max(2, -(-4 * target.numerator // target.denominator))
             if n <= _MAX_BASE_PARTS:
-                candidate = ratio_certificate(1, int(n))
+                candidate = ratio_certificate(1, int(n), session)
                 if candidate.lower_bound >= target:
                     cert = candidate
         if cert is None:
-            found = ratio_search(Iterate(k_hi), Iterate(k_lo), budget, seed=i)
+            found = ratio_search(Iterate(k_hi), Iterate(k_lo), budget, seed=i,
+                                 session=session)
             if found.lower_bound >= target:
                 cert = found
         if cert is not None:

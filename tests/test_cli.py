@@ -182,3 +182,66 @@ class TestProbe:
     def test_half_target(self, capsys):
         code, out, _ = run(capsys, "probe", "1/2", "--max-candidates", "6")
         assert code == 0 and "achieved" in out
+
+    def test_search_work_is_reported(self, capsys):
+        # The second target needs a (3 vs 2) search; its work reaches the report.
+        code, out, _ = run(capsys, "probe", "1/2", "1", "--max-candidates", "6", "--json")
+        report = json.loads(out)
+        assert code == 0 and [e["achieved"] for e in report["entries"]] == [True, True]
+        assert report["engine_stats"]["dp_transitions"] > 0
+
+
+COUNTERS = {"ranges_evaluated", "dp_transitions", "tables_built", "families_enumerated"}
+
+
+class TestRunner:
+    @pytest.mark.parametrize("argv", [
+        ("norm", "--spec", "iterate:1", "3:1,4:1,5:1"),
+        ("oracle", "--level", "limit", "3:1,4:1,5:1"),
+        ("witness", "--k", "1", "--n", "2"),
+        ("ratio", "--k", "1", "--n", "4"),
+        ("ratio", "--num", "l1", "--den", "sup", "--max-candidates", "4"),
+        ("matrix", "--levels", "2"),
+        ("stability", "--levels", "2"),
+        ("stability", "--matrix", "MATRIX_FILE"),
+        ("phi", "parse", "(1&phi(M))"),
+        ("phi", "mpv", "(1/2*1 + 3/4*1)"),
+        ("phi", "eval", "phi(M)", "--norm", "M=iterate:1", "--target", "iterate:2"),
+        ("phi", "realize", "(phi(M)&phi(M))", "--norm", "M=sup"),
+        ("probe", "1/2", "--max-candidates", "6"),
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_json_report_carries_engine_stats(self, capsys, tmp_path, argv):
+        path = tmp_path / "m.json"
+        path.write_text("[[0.25, 0.5], [0.25, 0.25]]")
+        argv = [str(path) if a == "MATRIX_FILE" else a for a in argv]
+        code, out, _ = run(capsys, *argv, "--json")
+        report = json.loads(out)
+        assert code == 0 and report["command"] == argv[0]
+        assert isinstance(report["seconds"], float)
+        assert set(report["engine_stats"]) == COUNTERS
+
+    @pytest.mark.parametrize("argv", [
+        ("witness", "--k", "1", "--n", "2", "--rule", "paper"),
+        ("probe", "1/2", "--rule", "paper"),
+        ("oracle", "--level", "1", "3:1", "--budget", "5"),
+        ("phi", "eval", "phi(M)", "--budget", "5"),
+        ("norm", "--spec", "l1", "3:1", "--seed", "3"),
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_option_the_command_does_not_read_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_ratio_search_reports_the_work_of_every_candidate(self, capsys):
+        argv = ("ratio", "--num", "iterate:3", "--den", "iterate:2", "--json")
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert code == 0 and report["engine_stats"]["dp_transitions"] > 0
+        # Each candidate has the whole budget to itself: one unit less than
+        # the search's total work still covers every single candidate.
+        total = sum(report["engine_stats"].values())
+        code, out, _ = run(capsys, *argv, "--budget", str(total - 1))
+        capped = json.loads(out)
+        assert code == 0 and capped["engine_stats"] == report["engine_stats"]
+        assert capped["lower_bound"] == report["lower_bound"]

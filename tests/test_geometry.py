@@ -110,6 +110,12 @@ class TestMatrix:
         assert matrix.d_value(3, 2) >= F(9, 8)
         assert matrix.d_value(3, 1) >= matrix.d_value(2, 1)
 
+    def test_two_levels_build(self):
+        # No level 3, so no (3 vs 2) search; the witness still lifts d(2, 1).
+        small = order_property_matrix(2)
+        assert sorted(small.entries) == [(n, d) for n in range(3) for d in range(3)]
+        assert small.d_value(2, 1) >= 2
+
     def test_requires_two_levels(self):
         with pytest.raises(ValueError):
             order_property_matrix(1)

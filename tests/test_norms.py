@@ -265,6 +265,27 @@ class TestFastPathAgreement:
         assert list(dict.fromkeys(widths)) == [np.dtype(np.int32), np.dtype(np.int64),
                                                np.dtype(object)]
 
+    @pytest.mark.parametrize("pos, w", [
+        ([2, 3, 5, 13, 14, 15, 19], [F(1), F(5, 2), F(7, 2), F(1), F(1), F(6), F(2, 3)]),
+        ([1, 2, 5, 7, 10, 11, 16], [F(3), F(1), F(3, 2), F(1, 2), F(1, 2), F(3), F(1)]),
+        ([1, 2, 5, 7, 8, 13], [F(3, 4), F(5, 2), F(3, 2), F(5, 2), F(2, 3), F(1)]),
+        (list(range(5, 21)), [F(1)] * 16),
+        (list(range(10, 30)), [F(1)] * 20),
+    ])
+    def test_literal_climb_stops_before_the_support_size(self, pos, w):
+        # From the first rung whose literal caps cover every window the
+        # options only shrink, so the climb ends there, at or below level s
+        # here.  The first three values change at level s - 1: a climb that
+        # stops one rung early misses them.
+        levels = fastpaths.top_points(pos, w, PL, None)
+        assert len(levels) - 1 <= len(pos)
+        se = SmallEvaluator(pos, w, PL)
+        assert levels == [se.iterate(j) for j in range(len(levels))]
+        assert levels[-1] == se.limit()
+        if len(pos) <= 8:
+            x = FiniteVector.from_entries(dict(zip(pos, w)))
+            assert levels[-1] == brute_force_norm(x, None, PL)
+
     @pytest.mark.parametrize("total, dtype", [
         ((1 << 26) - 1, np.int32), (1 << 26, np.int64), ((1 << 26) + 5, np.int64),
         ((1 << 58) - 1, np.int64), (1 << 58, object), ((1 << 58) + 5, object),
