@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
             option(p)
         p.add_argument("--json", action="store_true",
                        help="emit the full JSON report on stdout")
-        p.set_defaults(func=func, budget=None)
+        p.set_defaults(func=func, budget=None, parser=p)
         return p
 
     p = command("norm", cmd_norm, "evaluate a norm on a vector literal", _rule, _budget)
@@ -278,7 +278,10 @@ def _emit(args, report: dict, plain: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # Reported with the subcommand's own usage, which lists what it takes.
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     started = time.perf_counter()
     session = EvalSession(args.budget)
     try:

@@ -63,13 +63,9 @@ class DistanceEstimate:
     sided: str  # "one-sided" | "two-sided"
     witness: FiniteVector | None = None
 
-    @property
-    def infinite(self) -> bool:
-        return self.value is None
-
     def to_report(self) -> dict:
         return {
-            "value": "inf" if self.infinite else str(self.value),
+            "value": "inf" if self.value is None else str(self.value),
             "kind": self.kind,
             "sided": self.sided,
             "witness": format_vector(self.witness) if self.witness is not None else None,
@@ -172,9 +168,9 @@ class PhiEstimate:
 
 
 def phi_of(m: NormSpec, n: NormSpec, variant: PhiVariant,
-           pool: list[FiniteVector], sided: str | None = None,
+           pool: list[FiniteVector],
            session: EvalSession | None = None) -> PhiEstimate:
-    d = distance_lower(m, n, pool, sided or variant.default_sided, session)
+    d = distance_lower(m, n, pool, variant.default_sided, session)
     value = variant.transform(d.value)
     direction = "lower" if variant.increasing else "upper"
     return PhiEstimate(value, direction, variant, d)
@@ -252,8 +248,7 @@ class OrderPropertyMatrix:
         }
 
 
-def order_property_matrix(max_level: int, pool: list[FiniteVector] | None = None,
-                          budget: SearchBudget | None = None,
+def order_property_matrix(max_level: int, budget: SearchBudget | None = None,
                           rule: AdmissibilityRule = _FJ,
                           session: EvalSession | None = None) -> OrderPropertyMatrix:
     """One-sided distance estimates between iterate levels 0..max_level.
@@ -264,10 +259,8 @@ def order_property_matrix(max_level: int, pool: list[FiniteVector] | None = None
     """
     if max_level < 2:
         raise ValueError("need levels 0..L with L >= 2")
-    pool = list(pool) if pool is not None else default_matrix_pool()
-    t1 = FiniteVector.basis(1)
-    if t1 not in pool:
-        pool.insert(0, t1)
+    pool = default_matrix_pool()
+    t1 = pool[0]  # the first basis vector
     budget = budget or SearchBudget()
 
     # One evaluation per (level, candidate); every pair reads the cache.

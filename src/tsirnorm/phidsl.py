@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Union
+from functools import reduce
+from typing import Callable, ClassVar, Union
 
 from .geometry import PhiVariant, distance_lower
 from .norms import Join, NormSpec, format_normspec
@@ -42,15 +43,40 @@ __all__ = [
     "approx_realizer",
 ]
 
+Value = Union[Fraction, float]
+
 
 @dataclass(frozen=True)
 class Const1:
-    pass
+    def __str__(self):
+        return "1"
+
+    def to_json(self) -> dict:
+        return {"tag": "const1"}
+
+    def fold(self, atom: Callable[[str], Value]) -> Value:
+        return Fraction(1)
+
+    def required(self, ctx: EvalContext) -> list[NormSpec]:
+        # Constants score 1 against every norm, so they impose no requirement.
+        return []
 
 
 @dataclass(frozen=True)
 class Atom:
     name: str
+
+    def __str__(self):
+        return f"phi({self.name})"
+
+    def to_json(self) -> dict:
+        return {"tag": "atom", "name": self.name}
+
+    def fold(self, atom: Callable[[str], Value]) -> Value:
+        return atom(self.name)
+
+    def required(self, ctx: EvalContext) -> list[NormSpec]:
+        return [ctx.norm(self.name)]
 
 
 @dataclass(frozen=True)
@@ -62,26 +88,67 @@ class Scal:
         if not (0 <= self.coeff <= 1):
             raise ValueError(f"scale coefficient {self.coeff} outside [0, 1]")
 
+    def __str__(self):
+        return f"{self.coeff}*{self.child}"
+
+    def to_json(self) -> dict:
+        return {"tag": "scal", "coeff": str(self.coeff), "child": self.child.to_json()}
+
+    def fold(self, atom: Callable[[str], Value]) -> Value:
+        return self.coeff * self.child.fold(atom)
+
+    def required(self, ctx: EvalContext) -> list[NormSpec]:
+        return self.child.required(ctx)
+
 
 @dataclass(frozen=True)
-class And:
+class _Binary:
+    """Two operands joined by the subclass's ``symbol`` and ``combine`` rule."""
+
     left: "PhiExpr"
     right: "PhiExpr"
+    symbol: ClassVar[str]
+    tag: ClassVar[str]
+    combine: ClassVar[Callable[[Value, Value], Value]]
+
+    def __str__(self):
+        return f"({self.left}{self.symbol}{self.right})"
+
+    def to_json(self) -> dict:
+        return {"tag": self.tag, "left": self.left.to_json(), "right": self.right.to_json()}
+
+    def fold(self, atom: Callable[[str], Value]) -> Value:
+        return self.combine(self.left.fold(atom), self.right.fold(atom))
+
+    def required(self, ctx: EvalContext) -> list[NormSpec]:
+        # Registered norms the realizer must favour, each once, in first-use order.
+        left = self.left.required(ctx)
+        return left + [norm for norm in self.right.required(ctx) if norm not in left]
 
 
 @dataclass(frozen=True)
-class Or:
-    left: "PhiExpr"
-    right: "PhiExpr"
+class And(_Binary):
+    symbol, tag, combine = "&", "and", staticmethod(min)
 
 
 @dataclass(frozen=True)
-class Oplus:
-    left: "PhiExpr"
-    right: "PhiExpr"
+class Or(_Binary):
+    symbol, tag, combine = "|", "or", staticmethod(max)
+
+    def required(self, ctx: EvalContext) -> list[NormSpec]:
+        # A max is attained by its larger branch alone.
+        larger = self.left if mpv(self.left) >= mpv(self.right) else self.right
+        return larger.required(ctx)
+
+
+@dataclass(frozen=True)
+class Oplus(_Binary):
+    symbol, tag = "+", "oplus"
+    combine = staticmethod(lambda a, b: min(a + b, Fraction(1)))
 
 
 PhiExpr = Union[Const1, Atom, Scal, And, Or, Oplus]
+_OPERATORS = {op.symbol: op for op in (And, Or, Oplus)}
 
 
 class PhiParseError(ValueError):
@@ -133,13 +200,13 @@ class _Parser:
             self.i += 1
             left = self.expr()
             self.skip_ws()
-            op = self.peek()
-            if op not in "&|+":
-                self.error("expected one of '&', '|', '+'")
+            op, symbols = self.peek(), "".join(_OPERATORS)
+            if op not in symbols:
+                self.error("expected one of " + ", ".join(map(repr, symbols)))
             self.i += 1
             right = self.expr()
             self.expect(")")
-            return {"&": And, "|": Or, "+": Oplus}[op](left, right)
+            return _OPERATORS[op](left, right)
         if self.text.startswith("phi", self.i):
             self.i += 3
             self.expect("(")
@@ -187,38 +254,16 @@ def parse_phi(text: str) -> PhiExpr:
 
 def print_phi(expr: PhiExpr) -> str:
     """Canonical parenthesised form; parse_phi(print_phi(e)) == e."""
-    if isinstance(expr, Const1):
-        return "1"
-    if isinstance(expr, Atom):
-        return f"phi({expr.name})"
-    if isinstance(expr, Scal):
-        return f"{expr.coeff}*{print_phi(expr.child)}"
-    ops = {And: "&", Or: "|", Oplus: "+"}
-    op = ops[type(expr)]
-    return f"({print_phi(expr.left)}{op}{print_phi(expr.right)})"
+    return str(expr)
 
 
-def phi_to_json(expr: PhiExpr):
-    if isinstance(expr, Const1):
-        return {"tag": "const1"}
-    if isinstance(expr, Atom):
-        return {"tag": "atom", "name": expr.name}
-    if isinstance(expr, Scal):
-        return {"tag": "scal", "coeff": str(expr.coeff), "child": phi_to_json(expr.child)}
-    tags = {And: "and", Or: "or", Oplus: "oplus"}
-    return {
-        "tag": tags[type(expr)],
-        "left": phi_to_json(expr.left),
-        "right": phi_to_json(expr.right),
-    }
+def phi_to_json(expr: PhiExpr) -> dict:
+    return expr.to_json()
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-Value = Union[Fraction, float]
-
 
 @dataclass
 class EvalContext:
@@ -234,14 +279,17 @@ class EvalContext:
     pool: list[FiniteVector] = field(default_factory=lambda: [FiniteVector.basis(1)])
     atom_evaluator: Callable[[str, NormSpec], Value] | None = None
 
-    def atom_value(self, name: str, target: NormSpec,
-                   session: EvalSession | None = None) -> Value:
+    def norm(self, name: str) -> NormSpec:
         if name not in self.registry:
             raise PhiEvalError(f"unresolved atom {name!r}")
+        return self.registry[name]
+
+    def atom_value(self, name: str, target: NormSpec,
+                   session: EvalSession | None = None) -> Value:
+        norm = self.norm(name)
         if self.atom_evaluator is not None:
             return self.atom_evaluator(name, target)
-        d = distance_lower(self.registry[name], target, self.pool,
-                           self.variant.default_sided, session)
+        d = distance_lower(norm, target, self.pool, self.variant.default_sided, session)
         value = d.value
         if value is not None and value < 1:
             # Every norm in the algebra takes the value 1 on the first basis
@@ -257,39 +305,25 @@ class EvalContext:
         return self.variant.transform(value)
 
 
-def _vmin(a: Value, b: Value) -> Value:
-    return a if a <= b else b
-
-
-def _vmax(a: Value, b: Value) -> Value:
-    return a if a >= b else b
-
-
-_BINARY = {And: _vmin, Or: _vmax, Oplus: lambda a, b: _vmin(a + b, Fraction(1))}
-
-
-def _fold(expr: PhiExpr, atom: Callable[[str], Value]) -> Value:
-    """Value of the expression with each atom valued by ``atom(name)``."""
-    if isinstance(expr, Const1):
-        return Fraction(1)
-    if isinstance(expr, Atom):
-        return atom(expr.name)
-    if isinstance(expr, Scal):
-        return expr.coeff * _fold(expr.child, atom)
-    if type(expr) not in _BINARY:
-        raise TypeError(f"not a PhiExpr: {expr!r}")
-    return _BINARY[type(expr)](_fold(expr.left, atom), _fold(expr.right, atom))
-
-
 def eval_phi(expr: PhiExpr, target: NormSpec, ctx: EvalContext,
              session: EvalSession | None = None) -> Value:
-    """Value of the expression against the target norm, in [0, 1]."""
-    return _fold(expr, lambda name: ctx.atom_value(name, target, session))
+    """Value of the expression against the target norm, in [0, 1].
+
+    Each distinct atom is valued once, at its first use from the left.
+    """
+    values: dict[str, Value] = {}
+
+    def atom(name: str) -> Value:
+        if name not in values:
+            values[name] = ctx.atom_value(name, target, session)
+        return values[name]
+
+    return expr.fold(atom)
 
 
 def mpv(expr: PhiExpr) -> Fraction:
     """Maximum possible value: the expression with every atom at 1."""
-    return _fold(expr, lambda name: Fraction(1))
+    return expr.fold(lambda name: Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -310,43 +344,6 @@ class RealizerResult:
         }
 
 
-def _required_norms(expr: PhiExpr, ctx: EvalContext) -> list[NormSpec]:
-    """Registered norms the realizer must favour, in deterministic order.
-
-    Constants score 1 against every norm, so they impose no requirement;
-    a max is attained by its larger branch alone.
-    """
-    if isinstance(expr, Const1):
-        return []
-    if isinstance(expr, Atom):
-        if expr.name not in ctx.registry:
-            raise PhiEvalError(f"unresolved atom {expr.name!r}")
-        return [ctx.registry[expr.name]]
-    if isinstance(expr, Scal):
-        return _required_norms(expr.child, ctx)
-    if isinstance(expr, Or):
-        if mpv(expr.left) >= mpv(expr.right):
-            return _required_norms(expr.left, ctx)
-        return _required_norms(expr.right, ctx)
-    if isinstance(expr, (And, Oplus)):
-        merged = _required_norms(expr.left, ctx)
-        for norm in _required_norms(expr.right, ctx):
-            if norm not in merged:
-                merged.append(norm)
-        return merged
-    raise TypeError(f"not a PhiExpr: {expr!r}")
-
-
-def _realize(expr: PhiExpr, ctx: EvalContext) -> NormSpec:
-    required = _required_norms(expr, ctx)
-    if not required:
-        return ctx.registry[min(ctx.registry)]
-    norm = required[0]
-    for other in required[1:]:
-        norm = Join(norm, other)
-    return norm
-
-
 def approx_realizer(expr: PhiExpr, ctx: EvalContext,
                     session: EvalSession | None = None) -> RealizerResult:
     """Norm built from registered norms and joins aiming at the expression's
@@ -360,6 +357,8 @@ def approx_realizer(expr: PhiExpr, ctx: EvalContext,
     target = mpv(expr)
     if target == 0:
         raise ValueError("maximum possible value is zero")
-    norm = _realize(expr, ctx)
+    # The join of the registered norms the expression needs, in first-use order.
+    required = expr.required(ctx)
+    norm = reduce(Join, required) if required else ctx.registry[min(ctx.registry)]
     achieved = eval_phi(expr, norm, ctx, session)
     return RealizerResult(norm, achieved, target)

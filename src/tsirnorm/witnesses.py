@@ -65,10 +65,6 @@ class Schedule:
             if not (a * (2 * a - 1) < b):
                 raise ValueError(f"separation fails between {a} and {b}")
 
-    @property
-    def blocks(self) -> list[tuple[int, int]]:
-        return [(m, 2 * m - 1) for m in self.m]
-
 
 def schedule(n: int, start: int = 1) -> Schedule:
     """Minimal schedule: m_1 = max(n, start, 2), then the least admissible step."""
@@ -479,7 +475,6 @@ _MAX_BASE_PARTS = 20
 
 
 def dichotomy_probe(targets: list[Fraction], budget: SearchBudget | None = None,
-                    levels: list[int] | None = None,
                     session: EvalSession | None = None) -> list[DichotomyEntry]:
     """Attempt certified growth ratios >= targets along increasing level pairs.
 
@@ -490,12 +485,9 @@ def dichotomy_probe(targets: list[Fraction], budget: SearchBudget | None = None,
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise ValueError("targets must be increasing")
     budget = budget or SearchBudget()
-    ks = levels or list(range(1, len(targets) + 2))
-    if any(b <= a for a, b in zip(ks, ks[1:])) or len(ks) < len(targets) + 1:
-        raise ValueError("levels must be increasing, one pair per target")
     entries: list[DichotomyEntry] = []
     for i, target in enumerate(targets):
-        k_lo, k_hi = ks[i], ks[i + 1]
+        k_lo, k_hi = i + 1, i + 2
         cert: CertifiedRatio | None = None
         if k_lo == 1:
             n = max(2, -(-4 * target.numerator // target.denominator))

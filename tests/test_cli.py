@@ -231,7 +231,10 @@ class TestRunner:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: tsirnorm {argv[0]} [-h]")
+        assert (f"tsirnorm {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}"
+                in err)
 
     def test_ratio_search_reports_the_work_of_every_candidate(self, capsys):
         argv = ("ratio", "--num", "iterate:3", "--den", "iterate:2", "--json")

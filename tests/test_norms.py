@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsirnorm import (
@@ -306,6 +306,48 @@ class TestFastPathAgreement:
             se = SmallEvaluator(pos, w, FJ)
             assert fastpaths.level2_top_points(pos, w) == se.iterate(2)
             assert fastpaths.level3_top_points(pos, w) == se.iterate(3)
+
+    def test_widths_across_the_climb_match_generic(self):
+        # Numerators summing to 2**(b-j) + offset over a prime q, for the
+        # bounds b = 30 (int32) and 62 (int64): rung j certifies
+        # 2**max(j, 4) * sum, so it is the first wide rung when offset >= 0
+        # and rung j + 1 is otherwise.  The literal-rule climb passes both,
+        # so its tables widen partway through.
+        narrow_wide = {30: (np.dtype(np.int32), np.dtype(np.int64)),
+                       62: (np.dtype(np.int64), np.dtype(object))}
+        sides = set()
+
+        @example(bits=30, j=5, offset=-1, seed=0)
+        @example(bits=30, j=8, offset=0, seed=1)
+        @example(bits=62, j=6, offset=-4, seed=2)
+        @example(bits=62, j=4, offset=3, seed=3)
+        @given(bits=st.sampled_from(sorted(narrow_wide)), j=st.integers(4, 8),
+               offset=st.integers(-4, 4), seed=st.integers(0, 2 ** 32 - 1))
+        @settings(max_examples=5, deadline=None)
+        def check(bits, j, offset, seed):
+            rng = random.Random(seed)
+            total = (1 << (bits - j)) + offset
+            q = rng.choice([p for p in ((1 << 31) - 1, (1 << 61) - 1, (1 << 89) - 1)
+                            if p > total])
+            size = rng.randint(29, 34)
+            pos = sorted(rng.sample(range(1, 3 * size), size))
+            cuts = sorted(rng.sample(range(1, total), size - 1))
+            w = [F(b - a, q) for a, b in zip([0] + cuts, cuts + [total])]
+            narrow, wide = narrow_wide[bits]
+            widths = [fastpaths._encode(w, fastpaths.LEVEL3_POINT_LIMIT, "", level)[0].dtype
+                      for level in (j, j + 1)]
+            assert widths == [wide if offset >= 0 else narrow, wide]
+            sides.add((bits, offset >= 0))
+            se = SmallEvaluator(pos, w, FJ)
+            for k in (2, 3, None):
+                want = se.limit() if k is None else se.iterate(k)
+                assert fastpaths.top_points(pos, w, FJ, k)[-1] == want, k
+            levels = fastpaths.top_points(pos, w, PL, None)
+            assert len(levels) > j + 2
+            assert levels[-1] == SmallEvaluator(pos, w, PL).limit()
+
+        check()
+        assert sides == {(b, above) for b in narrow_wide for above in (False, True)}
 
     def test_schreier_scans_agree_exhaustively(self, rng):
         for _ in range(60):

@@ -52,6 +52,22 @@ def mpv_oracle(expr):
     return total if total < 1 else F(1)
 
 
+def json_oracle(expr):
+    # Deliberately separate implementation: direct case ladder, no helpers.
+    if isinstance(expr, Const1):
+        return {"tag": "const1"}
+    if isinstance(expr, Atom):
+        return {"tag": "atom", "name": expr.name}
+    if isinstance(expr, Scal):
+        return {"tag": "scal", "coeff": str(expr.coeff), "child": json_oracle(expr.child)}
+    tags = {And: "and", Or: "or", Oplus: "oplus"}
+    return {
+        "tag": tags[type(expr)],
+        "left": json_oracle(expr.left),
+        "right": json_oracle(expr.right),
+    }
+
+
 def exact_ctx(rng: random.Random):
     """Context whose atoms take deterministic exact rational values."""
     table = {}
@@ -97,6 +113,18 @@ class TestParsing:
         assert obj["left"]["tag"] == "scal"
         assert obj["left"]["child"]["tag"] == "atom"
 
+    def test_json_matches_independent_oracle(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            expr = random_expr(rng, 5)
+            assert phi_to_json(expr) == json_oracle(expr)
+
+    def test_operators_are_distinct_nodes(self):
+        a, b = Atom("M"), Const1()
+        assert And(a, b) != Or(a, b) != Oplus(a, b) != And(a, b)
+        assert And(a, b) == And(Atom("M"), Const1())
+        assert repr(Or(a, b)) == "Or(left=Atom(name='M'), right=Const1())"
+
 
 class TestMpv:
     @pytest.mark.parametrize("text,value", [
@@ -135,6 +163,17 @@ class TestEval:
                 value = eval_phi(expr, target, ctx)
                 assert isinstance(value, F)
                 assert 0 <= value <= mpv(expr)
+
+    def test_each_atom_valued_once_in_first_use_order(self):
+        calls = []
+
+        def evaluator(name, target):
+            calls.append(name)
+            return F(1, 2) if name == "M" else F(1, 4)
+
+        ctx = EvalContext({"M": Iterate(2), "L": Ell1()}, atom_evaluator=evaluator)
+        assert eval_phi(parse_phi("(phi(M)&(phi(M)|phi(L)))"), Iterate(2), ctx) == F(1, 2)
+        assert calls == ["M", "L"]
 
     def test_unresolved_atom(self):
         ctx = EvalContext({"M": Iterate(1)})
