@@ -1,13 +1,17 @@
 """Command-line interface.
 
-Each subcommand accepts only the options it reads.  Machine output is a
-single JSON report on stdout (``--json``) holding ``command``, ``seconds``
-and ``engine_stats`` (the work counters of the command's evaluation session)
-next to the command's own fields; the default output is the principal
-value(s) only.  Exit codes: 0 success, 1 certificate failure, 2 input error
-(argparse rejects an option the subcommand does not take with 2 as well),
-3 exact evaluation refused (the message names the reason, budget or
-size-limit; under ``--json`` a ``refused`` object carries it on stdout too).
+Each subcommand accepts only the options it reads.  A command runs in one
+evaluation session, and ``--budget`` caps that session's work: every
+evaluation charges it, each candidate of a search included, and once it is
+spent the remaining candidates fall back to certified bounds.  Machine
+output is a single JSON report on stdout (``--json``) holding ``command``,
+``seconds`` and ``engine_stats`` (the session's work counters) next to the
+command's own fields; the default output is the principal value(s) only.
+Exit codes: 0 success, 1 certificate failure, 2 input error (argparse
+rejects an option the subcommand does not take with 2 as well), 3 exact
+evaluation refused (the message names the reason, budget or size-limit;
+under ``--json`` the same report carries a ``refused`` object instead of
+the command's fields).
 """
 
 from __future__ import annotations
@@ -56,10 +60,11 @@ EXIT_REFUSED = 3
 
 
 # Every command takes (args, session) and returns (report fields, plain-text
-# output, verified); ``main`` adds command, seconds and engine_stats.
+# output, verified); ``main`` adds command, seconds and engine_stats, to a
+# refusal's fields as well.
 
-def _search_budget(args, session: EvalSession) -> SearchBudget:
-    return SearchBudget(args.max_support, args.max_candidates, session.budget)
+def _search_budget(args) -> SearchBudget:
+    return SearchBudget(args.max_support, args.max_candidates)
 
 
 def _exact(x, value) -> dict:
@@ -95,7 +100,7 @@ def cmd_ratio(args, session):
             raise ValueError("--num and --den must be given together")
         result = ratio_search(parse_normspec(args.num, args.rule),
                               parse_normspec(args.den, args.rule),
-                              _search_budget(args, session), seed=args.seed,
+                              _search_budget(args), seed=args.seed,
                               session=session)
     else:
         if args.k is None or args.n is None:
@@ -105,7 +110,7 @@ def cmd_ratio(args, session):
 
 
 def _matrix(args, session):
-    return order_property_matrix(args.levels, budget=_search_budget(args, session),
+    return order_property_matrix(args.levels, budget=_search_budget(args),
                                  rule=args.rule, session=session)
 
 
@@ -171,7 +176,7 @@ def cmd_phi(args, session):
 
 def cmd_probe(args, session):
     targets = [Fraction(t) for t in args.targets]
-    entries = dichotomy_probe(targets, _search_budget(args, session), session=session)
+    entries = dichotomy_probe(targets, _search_budget(args), session=session)
     plain = "\n".join(
         f"target {e.target} levels {e.level_pair}: "
         f"{'achieved' if e.achieved else e.note}"
@@ -269,11 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, report: dict, plain: str) -> None:
+def _emit(args, report: dict, plain: str | None) -> None:
     if args.json:
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
-    else:
+    elif plain is not None:
         sys.stdout.write(plain + "\n")
 
 
@@ -286,15 +291,14 @@ def main(argv=None) -> int:
     session = EvalSession(args.budget)
     try:
         fields, plain, verified = args.func(args, session)
+        code = EXIT_OK if verified else EXIT_CERTIFICATE
     except BudgetExceededError as exc:
         print(f"refused ({exc.reason}): {exc}", file=sys.stderr)
         lower = None if exc.lower_bound is None else str(exc.lower_bound)
         if lower is not None:
             print(f"best certified lower bound: {lower}", file=sys.stderr)
-        if args.json:
-            _emit(args, {"command": args.command, "refused": {
-                "reason": exc.reason, "message": str(exc), "lower_bound": lower}}, "")
-        return EXIT_REFUSED
+        refused = {"reason": exc.reason, "message": str(exc), "lower_bound": lower}
+        fields, plain, code = {"refused": refused}, None, EXIT_REFUSED
     except (VectorParseError, PhiParseError, PhiEvalError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -304,7 +308,7 @@ def main(argv=None) -> int:
     _emit(args, {"command": args.command,
                  "seconds": round(time.perf_counter() - started, 6),
                  "engine_stats": dict(session.stats), **fields}, plain)
-    return EXIT_OK if verified else EXIT_CERTIFICATE
+    return code
 
 
 if __name__ == "__main__":

@@ -19,11 +19,7 @@ from math import lcm
 from .rules import AdmissibilityRule
 from .session import EvalSession
 
-__all__ = ["SmallEvaluator", "GENERIC_SUPPORT_LIMIT", "LIMIT_KEY"]
-
-# The dispatcher sends this evaluator at most 28 points; this is the most
-# points the integer tables of ``fastpaths`` take in their Python-int width.
-GENERIC_SUPPORT_LIMIT = 96
+__all__ = ["SmallEvaluator", "LIMIT_KEY"]
 
 LIMIT_KEY = "T"
 

@@ -30,7 +30,6 @@ from math import lcm
 
 import numpy as np
 
-from .engine import GENERIC_SUPPORT_LIMIT
 from .rules import AdmissibilityRule
 from .session import BudgetExceededError, EvalSession
 
@@ -43,10 +42,12 @@ __all__ = [
     "top_points",
     "LEVEL2_POINT_LIMIT",
     "LEVEL3_POINT_LIMIT",
+    "GENERIC_SUPPORT_LIMIT",
 ]
 
 LEVEL2_POINT_LIMIT = 2600
 LEVEL3_POINT_LIMIT = 240
+GENERIC_SUPPORT_LIMIT = 96
 
 # Rows per block of the max-plus step in _family_dp.  On the int32 tables of
 # the (2,2) witness (1459 and 1468 points, one 2-vCPU host), one kernel call

@@ -261,7 +261,6 @@ def order_property_matrix(max_level: int, budget: SearchBudget | None = None,
         raise ValueError("need levels 0..L with L >= 2")
     pool = default_matrix_pool()
     t1 = pool[0]  # the first basis vector
-    budget = budget or SearchBudget()
 
     # One evaluation per (level, candidate); every pair reads the cache.
     normalized = [normalize_l1(x) for x in pool]

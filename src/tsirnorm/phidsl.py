@@ -200,9 +200,9 @@ class _Parser:
             self.i += 1
             left = self.expr()
             self.skip_ws()
-            op, symbols = self.peek(), "".join(_OPERATORS)
-            if op not in symbols:
-                self.error("expected one of " + ", ".join(map(repr, symbols)))
+            op = self.peek()
+            if op not in _OPERATORS:
+                self.error("expected one of " + ", ".join(map(repr, _OPERATORS)))
             self.i += 1
             right = self.expr()
             self.expect(")")

@@ -54,9 +54,10 @@ class EvalSession:
         }
 
     def charge(self, units: int, what: str = "dp_transitions") -> None:
-        self.used += units
-        if what in self.stats:
-            self.stats[what] += units
-        if self.used > self.budget:
+        # Refuse before counting, so the counters hold only work that was done.
+        used = self.used + units
+        if used > self.budget:
             raise BudgetExceededError(
                 f"work budget of {self.budget} units exhausted", reason="budget")
+        self.used = used
+        self.stats[what] += units

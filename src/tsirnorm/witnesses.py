@@ -348,7 +348,6 @@ def ratio_certificate(k: int, n: int, session: EvalSession | None = None) -> Cer
 class SearchBudget:
     max_support: int = 200
     max_candidates: int = 48
-    work_units: int = EvalSession.DEFAULT_BUDGET
 
 
 def cascade_vector(start: int, nblocks: int, scale: Fraction = Fraction(1)) -> FiniteVector:
@@ -422,24 +421,21 @@ def ratio_search(num: NormSpec, den: NormSpec, budget: SearchBudget | None = Non
 
     The numerator side may be a certified lower bound; the denominator side is
     exact or a certified upper bound, so the reported ratio is always a true
-    lower bound.  Deterministic for a fixed seed and budget; a larger budget
-    only extends the candidate pool, so the result never decreases.
+    lower bound.  Every candidate charges ``session``, the search's one work
+    budget; once it is spent, the remaining candidates fall back to those
+    certified bounds, never to a refusal.  Deterministic for a fixed seed and
+    budget; a larger pool only adds candidates, so the result never decreases.
     """
     budget = budget or SearchBudget()
+    session = session or EvalSession()
     t1 = FiniteVector.basis(1)
     stream = itertools.islice(_candidate_stream(seed, pool), budget.max_candidates)
     best = None
     for x in itertools.chain([t1], stream):
         if x is not t1 and (x.is_zero or x.support_size > budget.max_support):
             continue
-        # Each candidate gets the whole work budget; the caller's session
-        # only counts the work.
-        own = EvalSession(budget.work_units)
-        num_val, num_exact = _certified_lower(num, x, own)
-        den_val, den_exact = _certified_upper(den, x, own)
-        if session is not None:
-            for key, units in own.stats.items():
-                session.stats[key] += units
+        num_val, num_exact = _certified_lower(num, x, session)
+        den_val, den_exact = _certified_upper(den, x, session)
         if den_val == 0:
             raise ArithmeticError("norm upper bound of a nonzero vector is zero")
         ratio = num_val / den_val
@@ -484,7 +480,6 @@ def dichotomy_probe(targets: list[Fraction], budget: SearchBudget | None = None,
     """
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise ValueError("targets must be increasing")
-    budget = budget or SearchBudget()
     entries: list[DichotomyEntry] = []
     for i, target in enumerate(targets):
         k_lo, k_hi = i + 1, i + 2

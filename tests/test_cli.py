@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,10 @@ PRIMES = [p for p in range(2, 600) if all(p % d for d in range(2, p))][:100]
 PRIME_VECTOR = ",".join(f"{i + 2}:1/{p}" for i, p in enumerate(PRIMES))
 # Three million points: past every exact path and the materialisation limit.
 WIDE_BLOCK = "1000000..3999999:1/1000000"
+COUNTERS = {"ranges_evaluated", "dp_transitions", "tables_built", "families_enumerated"}
+# Tables a refused run built before its budget ran out: the level-1 table of
+# 59 points (1770 units) fits in 2000 units, the level-2 steps after it do not.
+TABLES_BUILT_AT_REFUSAL = {"2..60:1/3": 1770}
 
 
 def run(capsys, *argv):
@@ -70,13 +75,21 @@ class TestNorm:
         (("--spec", "iterate:2", "1000000..1999999:1/1000000"), "size-limit"),
         (("--spec", "iterate:2", PRIME_VECTOR), "size-limit"),
         (("--spec", "tsirelson", "--budget", "5", "2:1,3:1,4:1,5:1"), "budget"),
+        (("--spec", "iterate:3", "--budget", "2000", "2..60:1/3"), "budget"),
     ])
     def test_json_refusal_report(self, capsys, argv, reason):
         code, out, err = run(capsys, "norm", *argv)
         code_json, out_json, err_json = run(capsys, "norm", *argv, "--json")
         assert code == code_json == 3 and out == "" and err_json == err
         report = json.loads(out_json)
-        assert report["command"] == "norm"
+        # The same report as a success, with ``refused`` for the command's fields.
+        assert list(report) == ["command", "seconds", "engine_stats", "refused"]
+        assert report["command"] == "norm" and report["seconds"] >= 0
+        stats = report["engine_stats"]
+        assert set(stats) == COUNTERS
+        assert stats["tables_built"] == TABLES_BUILT_AT_REFUSAL.get(argv[-1], 0)
+        if "--budget" in argv:
+            assert sum(stats.values()) <= int(argv[argv.index("--budget") + 1])
         refused = report["refused"]
         assert refused["reason"] == reason and refused["message"] in err
         assert (refused["lower_bound"] is None) == ("lower bound" not in err)
@@ -236,15 +249,22 @@ class TestRunner:
         assert (f"tsirnorm {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}"
                 in err)
 
-    def test_ratio_search_reports_the_work_of_every_candidate(self, capsys):
+    def test_search_candidates_share_the_command_budget(self, capsys):
+        # Every candidate charges the command's one budget; the ones after it
+        # is spent fall back to certified bounds, and the search still ends.
         argv = ("ratio", "--num", "iterate:3", "--den", "iterate:2", "--json")
         code, out, _ = run(capsys, *argv)
-        report = json.loads(out)
-        assert code == 0 and report["engine_stats"]["dp_transitions"] > 0
-        # Each candidate has the whole budget to itself: one unit less than
-        # the search's total work still covers every single candidate.
-        total = sum(report["engine_stats"].values())
-        code, out, _ = run(capsys, *argv, "--budget", str(total - 1))
+        full = json.loads(out)
+        assert code == 0 and sum(full["engine_stats"].values()) > 30_000_000
+        code, out, _ = run(capsys, *argv, "--budget", "30000000")
         capped = json.loads(out)
-        assert code == 0 and capped["engine_stats"] == report["engine_stats"]
-        assert capped["lower_bound"] == report["lower_bound"]
+        assert code == 0 and sum(capped["engine_stats"].values()) <= 30_000_000
+        assert capped["lower_bound"] == full["lower_bound"] == "265/224"
+
+    def test_matrix_search_past_its_budget_keeps_a_certified_bound(self, capsys):
+        code, out, _ = run(capsys, "matrix", "--levels", "3", "--budget", "1000000", "--json")
+        report = json.loads(out)
+        assert code == 0 and sum(report["engine_stats"].values()) <= 1_000_000
+        d = {(e["numerator_level"], e["denominator_level"]): Fraction(e["estimate"]["value"])
+             for e in report["entries"]}
+        assert 1 < d[(3, 2)] <= Fraction(265, 224)

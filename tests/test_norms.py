@@ -30,7 +30,8 @@ from tsirnorm import (
     tsirelson_norm,
 )
 from tsirnorm import fastpaths
-from tsirnorm.engine import GENERIC_SUPPORT_LIMIT, SmallEvaluator
+from tsirnorm.engine import SmallEvaluator
+from tsirnorm.fastpaths import GENERIC_SUPPORT_LIMIT
 from tsirnorm.norms import cheap_lower_bound
 
 from conftest import random_vector
@@ -702,6 +703,28 @@ class TestRefusalBounds:
         assert err.value.reason == "budget"
         assert err.value.lower_bound == cheap_lower_bound(x, 2, FJ)
         assert session.stats["ranges_evaluated"] == 0
+
+    def test_refusal_counts_only_work_done(self, rng):
+        # A refused charge is not counted: the counters sum to the units used,
+        # which stay within the budget.
+        fj3 = parse_vector("2..60:1/3")
+        cases = [
+            (self.X, lambda x, s: iterate_norm(x, 4, FJ, s), 5),
+            (self.X, lambda x, s: tsirelson_norm(x, FJ, s), 5),
+            (self.X, lambda x, s: stabilization_level(x, FJ, s), 5),
+            (self.X, lambda x, s: norm_eval(TsirelsonLimit(), x, s), 5),
+            (random_support(rng, 29), lambda x, s: iterate_norm(x, 2, FJ, s), 10),
+            (FiniteVector.from_blocks([(10, 40, F(1, 10))]),
+             lambda x, s: norm_eval(Join(Iterate(4), Sup()), x, s), 5),
+            (fj3, lambda x, s: iterate_norm(x, 3, FJ, s), 1000),
+            (fj3, lambda x, s: iterate_norm(x, 3, FJ, s), 2000),
+        ]
+        for x, evaluate, budget in cases:
+            session = EvalSession(budget)
+            with pytest.raises(BudgetExceededError):
+                evaluate(x, session)
+            assert session.used <= budget
+            assert session.used == sum(session.stats.values())
 
     def test_join_refusal_takes_the_larger_side_bound(self):
         x = FiniteVector.from_blocks([(10, 40, F(1, 10))])

@@ -95,11 +95,23 @@ class TestParsing:
 
     @pytest.mark.parametrize("bad", [
         "", "2*1", "3/2*phi(M)", "phi()", "(1&)", "(1&1", "1 1", "5", "phi(M))",
+        "(1", "(phi(M)", "(1 & 1",
     ])
     def test_errors_carry_position(self, bad):
         with pytest.raises(PhiParseError) as err:
             parse_phi(bad)
-        assert err.value.position >= 0
+        assert 0 <= err.value.position <= len(bad)
+
+    @pytest.mark.parametrize("bad,message,position", [
+        ("(1", "expected one of '&', '|', '+'", 2),
+        ("(phi(M)", "expected one of '&', '|', '+'", 7),
+        ("(1 & 1", "expected ')'", 6),
+    ])
+    def test_unclosed_input_names_what_is_missing(self, bad, message, position):
+        with pytest.raises(PhiParseError) as err:
+            parse_phi(bad)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
     def test_roundtrip_random(self):
         rng = random.Random(7)

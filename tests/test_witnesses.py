@@ -5,6 +5,7 @@ import pytest
 from tsirnorm import (
     AdmissibilityRule,
     Ell1,
+    EvalSession,
     FiniteVector,
     Iterate,
     Sup,
@@ -138,6 +139,15 @@ class TestRatios:
                              SearchBudget(max_support=big.support_size, max_candidates=4),
                              pool=[big])
         assert found.lower_bound >= 1
+
+    def test_spent_session_falls_back_to_certified_bounds(self):
+        # With no work left every candidate falls back: the numerator to its
+        # cheap lower bound, the denominator to the l1 mass above it.
+        budget = SearchBudget(max_support=40, max_candidates=6)
+        spent = ratio_search(Iterate(3), Iterate(2), budget, session=EvalSession(0))
+        full = ratio_search(Iterate(3), Iterate(2), budget)
+        assert not spent.denominator_exact and not spent.numerator_exact
+        assert 0 < spent.lower_bound <= full.lower_bound
 
 
 class TestCascades:
