@@ -185,6 +185,12 @@ def cmd_probe(args, session):
     return {"entries": [e.to_report() for e in entries]}, plain, True
 
 
+def non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def _rule(p):
     p.add_argument("--rule", type=AdmissibilityRule.parse,
                    default=AdmissibilityRule.FIGIEL_JOHNSON,
@@ -192,7 +198,7 @@ def _rule(p):
 
 
 def _budget(p):
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=non_negative_int, default=None,
                    help="work-unit budget for exact evaluation")
 
 
@@ -202,9 +208,9 @@ def _seed(p):
 
 
 def _search(p):
-    p.add_argument("--max-support", type=int, default=SearchBudget.max_support,
+    p.add_argument("--max-support", type=non_negative_int, default=SearchBudget.max_support,
                    help="skip search candidates with more support points")
-    p.add_argument("--max-candidates", type=int, default=SearchBudget.max_candidates,
+    p.add_argument("--max-candidates", type=non_negative_int, default=SearchBudget.max_candidates,
                    help="number of search candidates drawn")
 
 

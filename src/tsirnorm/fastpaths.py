@@ -6,14 +6,14 @@ Two families of shortcuts:
   iterate on block-constant vectors (supports may span millions of indices;
   work is polynomial in the number of runs);
 * one integer table tower, ``top_points``, for every level from 2 on, the
-  limit and both rules on explicit point supports (2600 points at level 2,
-  240 once a table past level 1 is built).  Values are numerators over one
-  common denominator in the narrowest width a bound on them certifies:
-  int32, int64, or Python ints in an object array (at most 96 points),
-  widened as the climb doubles them.  Each rung runs one max-plus partition
-  kernel, ``_family_dp``, per right end; the requested level runs it once.
-  The kernel works on the upper triangle in blocks of rows, one numpy add
-  and one row-wise max per block, and checks at every step that no sentinel
+  limit and both rules on explicit point supports, each stage charged to
+  the work budget at its exact cost before it runs.  Values are numerators
+  over one common denominator in the narrowest width a bound on them
+  certifies: int32, int64, or Python ints in an object array, widened as
+  the climb doubles them.  Each rung runs one max-plus partition kernel,
+  ``_family_dp``, per right end; the requested level runs it once.  The
+  kernel works on the upper triangle in blocks of rows, one numpy add and
+  one row-wise max per block, and checks at every step that no sentinel
   can meet another sentinel.
 
 Both Schreier maximisers are exact: the objective is piecewise linear in
@@ -25,6 +25,7 @@ as independent cross-checks of each other.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -40,14 +41,12 @@ __all__ = [
     "level2_top_points",
     "level3_top_points",
     "top_points",
-    "LEVEL2_POINT_LIMIT",
-    "LEVEL3_POINT_LIMIT",
-    "GENERIC_SUPPORT_LIMIT",
+    "TABLE_BYTES_LIMIT",
 ]
 
-LEVEL2_POINT_LIMIT = 2600
-LEVEL3_POINT_LIMIT = 240
-GENERIC_SUPPORT_LIMIT = 96
+# A table of the tower may take at most this many bytes: 2600 points at
+# int64, the largest level-2 table that point counts admitted.
+TABLE_BYTES_LIMIT = 2600 * 2600 * 8
 
 # Rows per block of the max-plus step in _family_dp.  On the int32 tables of
 # the (2,2) witness (1459 and 1468 points, one 2-vCPU host), one kernel call
@@ -59,7 +58,7 @@ _DP_BLOCK_ROWS = 64
 def _sentinel(values: np.ndarray) -> int:
     """Below every real table value; a sentinel plus a real value stays so.
 
-    A fixed width takes half its minimum (see ``_encode``); Python ints take
+    A fixed width takes half its minimum (see ``_width``); Python ints take
     one below -16 times the sum of the real, never negative, entries.
     """
     if values.dtype == object:
@@ -73,10 +72,7 @@ def _sentinel(values: np.ndarray) -> int:
 
 def _caps_at(runs, n: int) -> list[int]:
     """Remaining width of each run once indices below n are cut away."""
-    caps = []
-    for s, e, _ in runs:
-        caps.append(max(0, e - max(s, n) + 1))
-    return caps
+    return [max(0, e - max(s, n) + 1) for s, e, _ in runs]
 
 
 def _greedy_value(runs, order, n: int) -> Fraction | None:
@@ -128,7 +124,7 @@ def schreier_max_runs(runs) -> Fraction:
     for kind, q, lo, hi in regions:
         const_sum = 0
         uses_clipped = False
-        for count, j in enumerate(order, start=1):
+        for j in order:
             s_j, e_j, _ = runs[j]
             if kind == "run" and j == q:
                 uses_clipped = True
@@ -138,7 +134,7 @@ def schreier_max_runs(runs) -> Fraction:
             if uses_clipped:
                 # n = const_sum + (e_q - n + 1)  =>  2n = const_sum + e_q + 1
                 num = const_sum + runs[q][1] + 1
-                for cand in (num // 2, num // 2 + 1, (num + 1) // 2):
+                for cand in (num // 2, num // 2 + 1):
                     if lo <= cand <= hi:
                         candidates.add(cand)
             else:
@@ -170,13 +166,8 @@ def schreier_max_runs_alt(runs) -> Fraction:
         s0, e0, w0 = runs[j0]
         tail = sorted(range(j0 + 1, m), key=lambda j: (-runs[j][2], runs[j][0]))
         # Concave fill curve for the tail: breakpoints at cumulative widths.
-        cum_width = [0]
-        cum_value = [Fraction(0)]
-        for j in tail:
-            s_j, e_j, w_j = runs[j]
-            width = e_j - s_j + 1
-            cum_width.append(cum_width[-1] + width)
-            cum_value.append(cum_value[-1] + w_j * width)
+        cum_width = list(itertools.accumulate(
+            (runs[j][1] - runs[j][0] + 1 for j in tail), initial=0))
 
         def tail_fill(budget: int) -> Fraction:
             if budget <= 0:
@@ -194,15 +185,12 @@ def schreier_max_runs_alt(runs) -> Fraction:
 
         len0 = e0 - s0 + 1
         cs: set[int] = {1, len0}
-        for width in cum_width:
+        for width in cum_width:  # from 0: the first run alone
             # budget e0 + 1 - 2c = width  =>  c = (e0 + 1 - width) / 2
             num = e0 + 1 - width
             for cand in (num // 2, num // 2 + 1):
                 if 1 <= cand <= len0:
                     cs.add(cand)
-        for cand in ((e0 + 1) // 2, (e0 + 1) // 2 + 1):
-            if 1 <= cand <= len0:
-                cs.add(cand)
         for c in cs:
             if c > e0 + 1 - c:  # even the first-run picks no longer fit
                 continue
@@ -225,36 +213,56 @@ def level1_runs(runs) -> Fraction:
 # Integer-encoded point tables
 # ---------------------------------------------------------------------------
 
-def _encode(weights, limit: int, what: str, level: int = 4) -> tuple[np.ndarray, int]:
-    """Numerators over the common denominator Q, in a width certified to ``level``.
+def _width(s: int, total: int, level: int) -> tuple[np.dtype, int]:
+    """Width of a level-``level`` table of s points whose numerators sum to
+    ``total``, and the budget units one of its transitions weighs.
 
     The one place that picks the number width.  A level-j value is at most
     2**j times the numerators' sum (a norm never exceeds the l1 norm), so the
-    array takes the narrowest width that holds 2**max(level, 4) times it:
+    table takes the narrowest width that holds 2**max(level, 4) times it:
     int32 below 2**30 (half the dtype's minimum is the sentinel, so a
     sentinel plus a real value stays representable), int64 below 2**62,
-    else Python ints in an object array.  A Python-int transition costs
-    5-100 times an int64 one, more as the numerators grow, so that width is
-    admitted only up to GENERIC_SUPPORT_LIMIT points.  Supports past
-    ``limit`` points or that cap are refused as ``size-limit``.
+    else Python ints, whose transitions weigh 8 + bits/128 units, the fixed
+    widths' 1 (``_family_dp``: 130-280 ns per transition on 64-1024-bit ints,
+    3-17 ns at int32/int64; 96-400 points, one 2-vCPU host).  A table past
+    TABLE_BYTES_LIMIT is refused as ``size-limit``.
     """
-    if len(weights) > limit:
-        raise BudgetExceededError(
-            f"{what}: support {len(weights)} exceeds the {limit}-point limit", reason="size-limit")
+    bound = total << max(level, 4)
+    dtype = np.dtype(np.int32 if bound < 1 << 30 else np.int64 if bound < 1 << 62 else object)
+    wide = dtype == object
+    entry = dtype.itemsize + wide * sys.getsizeof(bound)
+    if s * s * entry > TABLE_BYTES_LIMIT:
+        raise BudgetExceededError(f"a table of {s} points at {entry} bytes an entry passes "
+                                  f"the {TABLE_BYTES_LIMIT}-byte limit", reason="size-limit")
+    return dtype, 8 + bound.bit_length() // 128 if wide else 1
+
+
+def _encode(weights, level: int = 4) -> tuple[np.ndarray, int]:
+    """Numerators over the common denominator Q, in the width certified to ``level``."""
     q = lcm(*(w.denominator for w in weights))
     wq = [w.numerator * (q // w.denominator) for w in weights]
-    bound = sum(wq) << max(level, 4)
-    if bound >= 1 << 62 and len(weights) > GENERIC_SUPPORT_LIMIT:
-        raise BudgetExceededError(
-            f"{what}: numerators of {len(weights)} points pass int64; the Python-int "
-            f"width takes at most {GENERIC_SUPPORT_LIMIT} points", reason="size-limit")
-    dtype = np.int32 if bound < 1 << 30 else np.int64 if bound < 1 << 62 else object
-    return np.array(wq, dtype=dtype), q
+    return np.array(wq, dtype=_width(len(wq), sum(wq), level)[0]), q
 
 
-def _g_table(pos: list[int], wq_arr: np.ndarray, s: int, session: EvalSession) -> np.ndarray:
+def _dp_costs(caps: list[int]) -> list[int]:
+    """Transitions of ``_family_dp(table, n, caps)`` for n = 1, 2, ..., len(caps).
+
+    Step r on n points makes (n-r+1)(n-r+2)/2 transitions, for r from 2 to
+    the largest cap min(caps[t], n-t): tet(n-1) - tet(n-rmax) in all, with
+    tet(m) = m(m+1)(m+2)/6.  One more point raises rmax by at most one, and
+    by one exactly when a point t <= n - rmax has a cap above rmax.
+    """
+    prefmax = list(itertools.accumulate(caps, max))
+    costs, rmax = [], 0
+    for n in range(1, len(caps) + 1):
+        rmax += prefmax[n - 1 - rmax] > rmax
+        m = n - max(rmax, 1)
+        costs.append(((n - 1) * n * (n + 1) - m * (m + 1) * (m + 2)) // 6)
+    return costs
+
+
+def _g_table(pos: list[int], wq_arr: np.ndarray, s: int) -> np.ndarray:
     """G[t, c] = sum of the min(pos[t], c-t+1) largest weights among points t..c."""
-    session.charge(s * (s + 1) // 2, "tables_built")
     values = sorted(set(wq_arr.tolist()))
     class_of = {v: i for i, v in enumerate(values)}
     classes = [class_of[v] for v in wq_arr.tolist()]
@@ -283,7 +291,7 @@ def _g_table(pos: list[int], wq_arr: np.ndarray, s: int, session: EvalSession) -
     return g
 
 
-def _level1_table(pos, wq_arr, s, session) -> np.ndarray:
+def _level1_table(pos, wq_arr, s) -> np.ndarray:
     """L1[u, c]: first-iterate value of points u..c, numerator over 2Q.
 
     L1[u, c] = max over t in u..c of max(2 w[t], G[t, c]): either the sup
@@ -291,7 +299,7 @@ def _level1_table(pos, wq_arr, s, session) -> np.ndarray:
     place in the G table, one row at a time from the bottom; the lower
     triangle keeps G's sentinel.
     """
-    l1 = _g_table(pos, wq_arr, s, session)
+    l1 = _g_table(pos, wq_arr, s)
     for u in range(s - 1, -1, -1):
         row = l1[u, u:]
         np.maximum(row, 2 * wq_arr[u], out=row)
@@ -300,7 +308,7 @@ def _level1_table(pos, wq_arr, s, session) -> np.ndarray:
     return l1
 
 
-def _family_dp(table: np.ndarray, n: int, caps, session: EvalSession) -> np.ndarray:
+def _family_dp(table: np.ndarray, n: int, caps) -> np.ndarray:
     """Family numerators for all starts, families covering points t..n-1.
 
     ``table[u, c]`` is the group value of points u..c (sentinel below the
@@ -310,7 +318,7 @@ def _family_dp(table: np.ndarray, n: int, caps, session: EvalSession) -> np.ndar
     sentinel where fewer than two groups are admissible.  Step r adds one
     leading group to the (r-1)-group covers: cur[u] = max over c of
     table[u, c] + prev[c+1], evaluated in row blocks so that each block is
-    one add and one max.
+    one add and one max.  ``_dp_costs`` gives its transitions in closed form.
     """
     caps = np.array([min(p, n - t) for t, p in enumerate(caps[:n])], dtype=np.int64)
     fam = np.full(n, _sentinel(table[:n, n - 1]), dtype=table.dtype)
@@ -322,10 +330,9 @@ def _family_dp(table: np.ndarray, n: int, caps, session: EvalSession) -> np.ndar
     buf = np.empty((_DP_BLOCK_ROWS, n), dtype=table.dtype)
     for r in range(2, rmax + 1):
         hi = n - r  # last allowed end of the first group
-        session.charge((hi + 1) * (hi + 2) // 2, "dp_transitions")
         # Every read of prev must be a real cover, and real covers are never
         # negative.  A sentinel is then only ever added to a real value, so
-        # the sum stays inside the table's certified width (see _encode) and
+        # the sum stays inside the table's certified width (see _width) and
         # below every real value.
         if prev[1:hi + 2].min() < 0:
             raise RuntimeError(f"sentinel in the {r - 1}-group covers of the partition DP")
@@ -348,32 +355,36 @@ def top_points(pos: list[int], weights: list[Fraction], rule: AdmissibilityRule,
     groups (literal rule: j-1 groups from index j-1 on).  Level k needs one
     DP, over the whole support.  A rung that only doubles its table ends the
     climb; under the literal rule only once every cap j-1 spans its point's
-    whole window, from where the options can only shrink.
+    whole window, from where the options can only shrink.  Each stage (the
+    level-1 table, a rung, the top DP) is sized and charged before it runs.
     """
     s = len(pos)
     if s == 0:
         return [Fraction(0)]
     fj = rule is AdmissibilityRule.FIGIEL_JOHNSON
-    what = "the limit" if k is None else f"level {k}"
-    limit = LEVEL2_POINT_LIMIT if fj and k == 2 else LEVEL3_POINT_LIMIT
-    wq_arr, q = _encode(weights, limit, what)
     session = session or EvalSession()
+    wq_arr, q = _encode(weights)
+    total = sum(wq_arr.tolist())
     # Level 1.  With caps of 1 the G part is a window maximum, below 2 w[t]:
     # the literal rule's step 1 admits no family.
-    table = _level1_table(pos if fj else [1] * s, wq_arr, s, session)
+    session.charge(s * (s + 1) // 2, "tables_built")
+    table = _level1_table(pos if fj else [1] * s, wq_arr, s)
     tops = [Fraction(int(wq_arr.max()), q), Fraction(int(table[0, -1]), 2 * q)]
     for j in itertools.count(2) if k is None else range(2, k + 1):
-        sup = (1 << j) * _encode(weights, limit, what, j)[0]
+        caps = pos if fj else [j - 1 if p >= j - 1 else 0 for p in pos]
+        costs = _dp_costs(caps)
+        dtype, weight = _width(s, total, j)
+        session.charge(costs[-1] if j == k else sum(costs), "dp_transitions", weight)
+        sup = (1 << j) * wq_arr.astype(dtype, copy=False)
         # This rung reads only values that the old width certified, so its
         # sentinels below the diagonal still hold; the values it makes may not.
-        table = table.astype(sup.dtype, copy=False)
-        caps = pos if fj else [j - 1 if p >= j - 1 else 0 for p in pos]
+        table = table.astype(dtype, copy=False)
         if j == k:
-            fam = _family_dp(table, s, caps, session)
+            fam = _family_dp(table, s, caps)
             return tops + [Fraction(int(max(2 * table[0, -1], sup.max(), fam.max())), q << j)]
         below, table = table, np.full_like(table, _sentinel(table))
         for b in range(s):
-            best = np.maximum(_family_dp(below, b + 1, caps, session), sup[:b + 1])
+            best = np.maximum(_family_dp(below, b + 1, caps), sup[:b + 1])
             best = np.maximum.accumulate(best[::-1])[::-1]
             table[:b + 1, b] = np.maximum(best, 2 * below[:b + 1, b])
         tops.append(Fraction(int(table[0, -1]), q << j))

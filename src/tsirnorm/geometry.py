@@ -9,16 +9,15 @@ distance values directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .norms import Iterate, NormSpec, format_normspec, norm_eval
+from .norms import Iterate, NormSpec, norm_eval
 from .rules import AdmissibilityRule
-from .session import BudgetExceededError, EvalSession
-from .vectors import FiniteVector, format_vector, l1_norm, normalize_l1
+from .session import EvalSession
+from .vectors import FiniteVector, format_vector, normalize_l1
 from .witnesses import (
-    CertifiedRatio,
     SearchBudget,
     base_witness,
     cascade_stack,
@@ -200,13 +199,10 @@ class MatrixEntry:
 
 def default_matrix_pool() -> list[FiniteVector]:
     """Small-support candidates evaluable exactly at every desk-scale level."""
-    pool = [FiniteVector.basis(1), FiniteVector.basis(3)]
-    pool.append(FiniteVector.from_blocks([(1, 4, Fraction(1, 4))]))
-    pool.append(FiniteVector.from_blocks([(3, 5, Fraction(1))]))
-    pool.append(base_witness(2).sum)
-    pool.append(cascade_vector(2, 4))
-    pool.append(cascade_stack(2, 2, 2, Fraction(1, 3)))
-    return pool
+    return [FiniteVector.basis(1), FiniteVector.basis(3),
+            FiniteVector.from_blocks([(1, 4, Fraction(1, 4))]),
+            FiniteVector.from_blocks([(3, 5, Fraction(1))]),
+            base_witness(2).sum, cascade_vector(2, 4), cascade_stack(2, 2, 2, Fraction(1, 3))]
 
 
 @dataclass
@@ -347,15 +343,8 @@ class StabilityReport:
     inf_witness: tuple[int, int]
 
     def to_report(self) -> dict:
-        return {
-            "sup_lower": self.sup_lower,
-            "inf_upper": self.inf_upper,
-            "gap": self.gap,
-            "rows": self.rows,
-            "cols": self.cols,
-            "sup_witness": list(self.sup_witness),
-            "inf_witness": list(self.inf_witness),
-        }
+        return {**asdict(self), "sup_witness": list(self.sup_witness),
+                "inf_witness": list(self.inf_witness)}
 
 
 def stability_gap(matrix: list[list[float]]) -> StabilityReport:

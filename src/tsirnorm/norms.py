@@ -117,8 +117,8 @@ NormSpec = Ell1 | Sup | Iterate | TsirelsonLimit | Join
 
 
 def _abs_points(x: FiniteVector) -> tuple[list[int], list[Fraction]]:
-    """x's points and absolute weights, refused before they are built past every point limit."""
-    if x.support_size > fastpaths.LEVEL2_POINT_LIMIT:
+    """x's points and absolute weights, refused before they are built if no table of them fits."""
+    if x.support_size ** 2 * 4 > fastpaths.TABLE_BYTES_LIMIT:  # int32, the narrowest width
         raise BudgetExceededError(f"no exact path at support size {x.support_size}",
                                   reason="size-limit")
     pos, w = [], []

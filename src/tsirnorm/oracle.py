@@ -24,6 +24,8 @@ ORACLE_SUPPORT_LIMIT = 8
 
 def brute_force_norm(x: FiniteVector, k: int | None, rule: AdmissibilityRule) -> Fraction:
     """Exact norm by exhaustive family enumeration; ``k=None`` is the limit."""
+    if k is not None and k < 0:
+        raise ValueError("iterate level must be >= 0")
     if x.support_size > ORACLE_SUPPORT_LIMIT:
         raise ValueError(
             f"oracle refuses support size {x.support_size} > {ORACLE_SUPPORT_LIMIT}"

@@ -14,8 +14,8 @@ class BudgetExceededError(Exception):
     """An exact evaluation was refused.
 
     ``reason`` names the cause: ``budget`` (the work budget ran out) or
-    ``size-limit`` (the support is too large for every exact path at its
-    number width).
+    ``size-limit`` (a table of the support passes the table memory limit at
+    its number width).
 
     ``lower_bound`` is attached by the public evaluators in ``norms`` before
     the error leaves them; it is a true lower bound, never an approximation
@@ -35,8 +35,8 @@ class EvalSession:
     """Per-computation scratch state.
 
     A session confines memoisation to one logical top-level evaluation; it is
-    not shared between unrelated calls.  ``budget`` counts abstract work units
-    (memo insertions and dynamic-programming transitions).
+    not shared between unrelated calls.  ``budget`` caps ``used``, the work
+    units charged weighed by their cost; the ``stats`` counters are unweighed.
     """
 
     # Default generous budget: enough for every documented desk-scale path.
@@ -53,11 +53,12 @@ class EvalSession:
             "families_enumerated": 0,
         }
 
-    def charge(self, units: int, what: str = "dp_transitions") -> None:
+    def charge(self, units: int, what: str = "dp_transitions", weight: int = 1) -> None:
         # Refuse before counting, so the counters hold only work that was done.
-        used = self.used + units
+        used = self.used + units * weight
         if used > self.budget:
-            raise BudgetExceededError(
-                f"work budget of {self.budget} units exhausted", reason="budget")
+            raise BudgetExceededError(f"work budget of {self.budget} units exhausted: "
+                                      f"{used - self.used} asked for, {self.used} already used",
+                                      reason="budget")
         self.used = used
         self.stats[what] += units

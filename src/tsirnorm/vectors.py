@@ -45,11 +45,7 @@ class VectorParseError(ValueError):
 
 
 def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, (Fraction, int, str)):
         return Fraction(v)
     raise TypeError(f"expected an exact rational, got {type(v).__name__}")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import fastpaths
@@ -91,15 +91,8 @@ class CertificateLine:
     checks: tuple[str, ...] = ()
 
     def to_report(self) -> dict:
-        return {
-            "name": self.name,
-            "left": str(self.left),
-            "relation": self.relation,
-            "right": str(self.right),
-            "status": self.status,
-            "ok": self.ok,
-            "checks": list(self.checks),
-        }
+        return {**asdict(self), "left": str(self.left), "right": str(self.right),
+                "checks": list(self.checks)}
 
 
 @dataclass

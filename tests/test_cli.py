@@ -5,16 +5,18 @@ import pytest
 
 from tsirnorm.cli import main
 
-# 100 points i+2 : 1/p_i (p_i the i-th prime): far below the level-2 point
-# limit, but the numerators over the common denominator pass int64, and the
-# Python-int width of the integer DP stops at 96 points.
+# 100 points i+2 : 1/p_i (p_i the i-th prime): the numerators over the
+# common denominator pass int64, so the tables hold Python ints.
 PRIMES = [p for p in range(2, 600) if all(p % d for d in range(2, p))][:100]
 PRIME_VECTOR = ",".join(f"{i + 2}:1/{p}" for i, p in enumerate(PRIMES))
 # Three million points: past every exact path and the materialisation limit.
 WIDE_BLOCK = "1000000..3999999:1/1000000"
+# 2601 points over the denominator 65521 * 65519: int64 tables, one point
+# past the table memory limit (2600 int64 points).
+INT64_PAST_TABLE_LIMIT = "2..1301:1/65521,1302..2602:1/65519"
 COUNTERS = {"ranges_evaluated", "dp_transitions", "tables_built", "families_enumerated"}
 # Tables a refused run built before its budget ran out: the level-1 table of
-# 59 points (1770 units) fits in 2000 units, the level-2 steps after it do not.
+# 59 points (1770 units) fits in 2000 units, the level-2 rung after it does not.
 TABLES_BUILT_AT_REFUSAL = {"2..60:1/3": 1770}
 
 
@@ -55,10 +57,22 @@ class TestNorm:
         assert code == 3 and "lower bound" in err
         assert "size-limit" in err
 
-    def test_wide_numerators_past_96_points_refused_as_size_limit(self, capsys):
-        code, _, err = run(capsys, "norm", "--spec", "iterate:2", PRIME_VECTOR)
-        assert code == 3 and "refused (size-limit)" in err
-        assert "int64" in err and "96" in err
+    def test_wide_numerators_past_96_points_run(self, capsys):
+        for spec in ("iterate:2", "iterate:3"):
+            code, out, _ = run(capsys, "norm", "--spec", spec, "--json", PRIME_VECTOR)
+            report = json.loads(out)
+            assert code == 0 and report["value"]["value"] == "1/2"
+            assert report["engine_stats"]["tables_built"] == 100 * 101 // 2
+
+    def test_stage_past_the_budget_is_refused_before_it_runs(self, capsys):
+        # Level 3 on 2000 points: the level-1 table is built, and the level-2
+        # rung's cost, far past the default budget, is refused before any step.
+        code, out, err = run(capsys, "norm", "--spec", "iterate:3", "--json", "2..2001:1/10")
+        report = json.loads(out)
+        assert code == 3 and report["refused"]["reason"] == "budget"
+        assert report["engine_stats"]["dp_transitions"] == 0
+        assert report["engine_stats"]["tables_built"] == 2000 * 2001 // 2
+        assert "already used" in err
 
     @pytest.mark.parametrize("vector", ["900:1,901:1", "2000:1,2001:1"])
     def test_literal_rule_limit_far_from_the_origin(self, capsys, vector):
@@ -73,7 +87,7 @@ class TestNorm:
 
     @pytest.mark.parametrize("argv, reason", [
         (("--spec", "iterate:2", "1000000..1999999:1/1000000"), "size-limit"),
-        (("--spec", "iterate:2", PRIME_VECTOR), "size-limit"),
+        (("--spec", "iterate:2", INT64_PAST_TABLE_LIMIT), "size-limit"),
         (("--spec", "tsirelson", "--budget", "5", "2:1,3:1,4:1,5:1"), "budget"),
         (("--spec", "iterate:3", "--budget", "2000", "2..60:1/3"), "budget"),
     ])
@@ -190,6 +204,10 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--level", "1", "1..12:1")
         assert code == 2 and "oracle" in err
 
+    def test_negative_level_is_input_error(self, capsys):
+        code, _, err = run(capsys, "oracle", "--level", "-1", "2:1")
+        assert code == 2 and err == "input error: iterate level must be >= 0\n"
+
 
 class TestProbe:
     def test_half_target(self, capsys):
@@ -248,6 +266,21 @@ class TestRunner:
         assert err.startswith(f"usage: tsirnorm {argv[0]} [-h]")
         assert (f"tsirnorm {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}"
                 in err)
+
+    @pytest.mark.parametrize("argv", [
+        ("norm", "--spec", "l1", "1:1", "--budget", "-5"),
+        ("ratio", "--num", "iterate:3", "--den", "iterate:2", "--max-candidates", "-1"),
+        ("ratio", "--num", "l1", "--den", "sup", "--max-support", "-1"),
+        ("probe", "1/2", "--budget", "many"),
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_count_options_take_non_negative_ints(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: tsirnorm {argv[0]} [-h]")
+        assert (f"tsirnorm {argv[0]}: error: argument {argv[-2]}: invalid non_negative_int "
+                f"value: '{argv[-1]}'" in err)
 
     def test_search_candidates_share_the_command_budget(self, capsys):
         # Every candidate charges the command's one budget; the ones after it

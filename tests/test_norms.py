@@ -31,7 +31,6 @@ from tsirnorm import (
 )
 from tsirnorm import fastpaths
 from tsirnorm.engine import SmallEvaluator
-from tsirnorm.fastpaths import GENERIC_SUPPORT_LIMIT
 from tsirnorm.norms import cheap_lower_bound
 
 from conftest import random_vector
@@ -89,6 +88,13 @@ class TestOracle:
         x = vec({i: F(1) for i in range(1, 10)})
         with pytest.raises(ValueError, match="oracle"):
             brute_force_norm(x, 1, FJ)
+
+    def test_refuses_negative_level(self):
+        # Before any work, on the zero vector and past the support limit too.
+        for x in (vec({2: F(1)}), vec({}), vec({i: F(1) for i in range(1, 10)})):
+            for rule in (FJ, PL):
+                with pytest.raises(ValueError, match="^iterate level must be >= 0$"):
+                    brute_force_norm(x, -1, rule)
 
     def test_oracle_equivalence_small_samples(self, rng):
         for _ in range(40):
@@ -302,7 +308,7 @@ class TestFastPathAgreement:
             pos = sorted(rng.sample(range(2, 2 * size), size))
             cuts = sorted(rng.sample(range(1, total), size - 1))
             w = [F(b - a, q) for a, b in zip([0] + cuts, cuts + [total])]
-            wq_arr, denominator = fastpaths._encode(w, fastpaths.LEVEL3_POINT_LIMIT, "level 3")
+            wq_arr, denominator = fastpaths._encode(w)
             assert (wq_arr.dtype, denominator, int(wq_arr.sum())) == (dtype, q, total)
             se = SmallEvaluator(pos, w, FJ)
             assert fastpaths.level2_top_points(pos, w) == se.iterate(2)
@@ -335,7 +341,7 @@ class TestFastPathAgreement:
             cuts = sorted(rng.sample(range(1, total), size - 1))
             w = [F(b - a, q) for a, b in zip([0] + cuts, cuts + [total])]
             narrow, wide = narrow_wide[bits]
-            widths = [fastpaths._encode(w, fastpaths.LEVEL3_POINT_LIMIT, "", level)[0].dtype
+            widths = [fastpaths._encode(w, level)[0].dtype
                       for level in (j, j + 1)]
             assert widths == [wide if offset >= 0 else narrow, wide]
             sides.add((bits, offset >= 0))
@@ -373,25 +379,27 @@ class TestFastPathAgreement:
 WIDTHS = (np.int32, np.int64, object)
 
 
-def per_row_family_dp(table, n, pos, session):
-    """The partition recurrence one row and one column at a time; None marks
-    the rows with fewer than two admissible groups."""
+def per_row_family_dp(table, n, pos):
+    """The partition recurrence one row and one column at a time, and the
+    transitions it made; None marks the rows with fewer than two admissible
+    groups."""
     caps = [min(pos[t], n - t) for t in range(n)]
     fam = [None] * n
     rmax = max(caps)
+    steps = 0
     if rmax < 2:
-        return fam
+        return fam, steps
     prev = [table[u][n - 1] for u in range(n)]
     for r in range(2, rmax + 1):
         hi = n - r
-        session.charge((hi + 1) * (hi + 2) // 2, "dp_transitions")
         cur = [max(table[u][c] + prev[c + 1] for c in range(u, hi + 1))
                for u in range(hi + 1)]
+        steps += sum(hi + 1 - u for u in range(hi + 1))
         for t in range(hi + 1):
             if caps[t] == r:
                 fam[t] = cur[t]
         prev = cur
-    return fam
+    return fam, steps
 
 
 def per_element_g_table(pos, wq, s, sentinel):
@@ -456,13 +464,44 @@ class TestFamilyKernel:
         for dtype in WIDTHS:
             for pos in ([rng.randint(1, n + 2) for _ in range(n)], list(range(n, 2 * n))):
                 table = random_group_table(rng, n, dtype)
-                session, ref_session = EvalSession(), EvalSession()
-                fam = fastpaths._family_dp(table, n, pos, session)
-                expected = per_row_family_dp(table.tolist(), n, pos, ref_session)
+                fam = fastpaths._family_dp(table, n, pos)
+                expected, steps = per_row_family_dp(table.tolist(), n, pos)
                 sentinel = fastpaths._sentinel(table[:n, n - 1])
                 assert fam.dtype == dtype
                 assert fam.tolist() == [sentinel if v is None else v for v in expected]
-                assert session.stats == ref_session.stats
+                assert fastpaths._dp_costs(pos)[-1] == steps
+
+    def test_closed_form_cost_matches_per_row_steps(self, rng):
+        # A rung runs the kernel on points 0..b for every right end b, the
+        # last included; each entry of _dp_costs is one such run's steps.
+        # Caps of 0 (the literal rule below its step) and caps past the
+        # support both occur.
+        table = random_group_table(rng, 40, np.int64).tolist()
+        for _ in range(30):
+            n = rng.randint(1, 40)
+            caps = [rng.choice([0, 1, rng.randint(2, 8), rng.randint(2, 2 * n)])
+                    for _ in range(n)]
+            steps = [per_row_family_dp(table, m, caps)[1] for m in range(1, n + 1)]
+            assert fastpaths._dp_costs(caps) == steps
+
+    @pytest.mark.parametrize("rule, k", [(FJ, 2), (FJ, 3), (FJ, None), (PL, 5), (PL, None)])
+    def test_tower_charges_the_steps_of_its_kernel_calls(self, rng, monkeypatch, rule, k):
+        # Each rung and top DP is charged before its kernel calls run; the
+        # charges add up to the steps those calls make, the last right end
+        # of every rung included.
+        steps = []
+        kernel = fastpaths._family_dp
+
+        def counting(table, n, caps):
+            rmax = max(min(c, n - t) for t, c in enumerate(caps[:n]))
+            steps.append(sum((n - r + 1) * (n - r + 2) // 2 for r in range(2, rmax + 1)))
+            return kernel(table, n, caps)
+
+        monkeypatch.setattr(fastpaths, "_family_dp", counting)
+        pos = sorted(rng.sample(range(1, 80), 40))
+        session = EvalSession()
+        fastpaths.top_points(pos, [F(1, rng.randint(1, 9)) for _ in pos], rule, k, session)
+        assert session.stats["dp_transitions"] == sum(steps) > 0
 
     def test_sentinel_in_covers_is_refused(self, rng):
         n = 40
@@ -470,7 +509,7 @@ class TestFamilyKernel:
             table = random_group_table(rng, n, dtype)
             table[n // 2, n - 1] = table[n - 1, 0]  # a sentinel from below the diagonal
             with pytest.raises(RuntimeError, match="sentinel"):
-                fastpaths._family_dp(table, n, list(range(n, 2 * n)), EvalSession())
+                fastpaths._family_dp(table, n, list(range(n, 2 * n)))
 
     @pytest.mark.parametrize("s", [1, 7, 40, 90])
     def test_g_table_matches_per_element_loop(self, rng, s):
@@ -479,12 +518,10 @@ class TestFamilyKernel:
         for dtype in WIDTHS:
             pos = sorted(rng.sample(range(1, s + 6), s))
             wq = [rng.randint(1, 40) for _ in range(s)]
-            session = EvalSession()
             wq_arr = np.array(wq, dtype=dtype)
-            g = fastpaths._g_table(pos, wq_arr, s, session)
+            g = fastpaths._g_table(pos, wq_arr, s)
             assert g.dtype == dtype
             assert g.tolist() == per_element_g_table(pos, wq, s, fastpaths._sentinel(wq_arr))
-            assert session.stats["tables_built"] == s * (s + 1) // 2
 
 
 class TestInvariants:
@@ -602,6 +639,41 @@ def generic_value(x, k):
     return SmallEvaluator(list(pos), list(w), FJ).iterate(k)
 
 
+class StageRecorder(EvalSession):
+    """A session that records, for each charge, the units used before it,
+    the units it added and the counters before it."""
+
+    def __init__(self, budget=None):
+        super().__init__(budget)
+        self.stages = []
+
+    def charge(self, *args, **kwargs):
+        used, stats = self.used, dict(self.stats)
+        super().charge(*args, **kwargs)
+        self.stages.append((used, self.used - used, stats))
+
+
+def assert_stage_edges(evaluate, x, k):
+    """A budget of the units before a stage plus its cost passes that stage;
+    one unit less refuses it as ``budget`` before it counts anything."""
+    full = StageRecorder()
+    value = evaluate(x, full)
+    assert len(full.stages) >= 3  # the level-1 table, a rung, one more stage
+    for used, cost, stats in full.stages:
+        session = EvalSession(used + cost)
+        try:
+            assert evaluate(x, session) == value
+        except BudgetExceededError:
+            pass  # at a later stage
+        assert session.used == used + cost
+        session = EvalSession(used + cost - 1)
+        with pytest.raises(BudgetExceededError) as err:
+            evaluate(x, session)
+        assert err.value.reason == "budget"
+        assert (session.used, session.stats) == (used, stats)
+        assert err.value.lower_bound == cheap_lower_bound(x, k, FJ)
+
+
 class TestDispatchBoundaries:
     """Which path ran is read from the session: only the integer DPs build tables."""
 
@@ -615,7 +687,7 @@ class TestDispatchBoundaries:
 
     def test_wide_numerators_run_the_object_width_dp(self, rng):
         x = random_support(rng, 40, PRIMES[:40])
-        wq_arr, _ = fastpaths._encode([v for _, v in x.entries()], 40, "level 2")
+        wq_arr, _ = fastpaths._encode([v for _, v in x.entries()])
         assert wq_arr.dtype == object
         session = EvalSession()
         assert iterate_norm(x, 2, FJ, session) == generic_value(x, 2)
@@ -623,45 +695,43 @@ class TestDispatchBoundaries:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_object_width_point_cap(self, rng, k):
-        x = random_support(rng, GENERIC_SUPPORT_LIMIT, PRIMES[:GENERIC_SUPPORT_LIMIT])
-        session = EvalSession()
-        assert iterate_norm(x, k, FJ, session) >= cheap_lower_bound(x, k, FJ)
-        assert session.stats["tables_built"] > 0
-        extra = {2 * x.max_index: F(1, PRIMES[GENERIC_SUPPORT_LIMIT])}
-        wider = x + FiniteVector.from_entries(extra)
-        with pytest.raises(BudgetExceededError) as err:
-            iterate_norm(wider, k, FJ)
-        assert err.value.reason == "size-limit" and "int64" in str(err.value)
-        assert err.value.lower_bound == cheap_lower_bound(wider, k, FJ)
+        # The object width has no point cap: 96, 97 and 100 points of prime
+        # denominators run.  Adding points never lowers the value, and the
+        # last ones, of weight below 1/500, leave the 96-point value as it is.
+        x = random_support(rng, 100, PRIMES[:100])
+        values = []
+        for size in (96, 97, 100):
+            y = FiniteVector.from_entries(dict(list(x.entries())[:size]))
+            assert fastpaths._encode([v for _, v in y.entries()])[0].dtype == object
+            session = EvalSession()
+            values.append(iterate_norm(y, k, FJ, session))
+            assert values[-1] >= cheap_lower_bound(y, k, FJ)
+            assert session.stats["tables_built"] > 0
+            # A Python-int transition weighs more than one unit of the budget.
+            assert session.used > sum(session.stats.values())
+        assert values[0] == values[1] == values[2]
 
     def test_level3_point_limit(self, rng):
-        x = random_support(rng, fastpaths.LEVEL3_POINT_LIMIT)
+        # No point limit: work alone refuses.  241 points run level 3, and
+        # every stage of a level-3 evaluation is refused at its charge edge.
+        assert_stage_edges(lambda x, s: iterate_norm(x, 3, FJ, s), random_support(rng, 97), 3)
+        x = random_support(rng, 241)
         session = EvalSession()
         assert iterate_norm(x, 3, FJ, session) >= iterate_norm(x, 2, FJ)
         assert session.stats["tables_built"] > 0
-        wider = x + FiniteVector.basis(2 * x.max_index)
-        with pytest.raises(BudgetExceededError) as err:
-            iterate_norm(wider, 3, FJ)
-        assert err.value.reason == "size-limit"
-        assert err.value.lower_bound == cheap_lower_bound(wider, 3, FJ)
 
     @pytest.mark.parametrize("k", [4, None], ids=["level4", "limit"])
     def test_tower_point_limit(self, rng, k):
-        # The full-table rungs take up to LEVEL3_POINT_LIMIT points, far past
-        # the generic evaluator's reach.
+        # The full-table rungs run past the generic evaluator's reach, at 241
+        # points too; every stage is refused at its charge edge.
         def evaluate(x, session=None):
             return tsirelson_norm(x, FJ, session) if k is None else iterate_norm(x, k, FJ, session)
 
-        for size in (97, fastpaths.LEVEL3_POINT_LIMIT):
-            x = random_support(rng, size)
-            session = EvalSession()
-            assert evaluate(x, session) >= iterate_norm(x, 3, FJ)
-            assert session.stats["tables_built"] > 0
-        wider = x + FiniteVector.basis(2 * x.max_index)
-        with pytest.raises(BudgetExceededError) as err:
-            evaluate(wider)
-        assert err.value.reason == "size-limit"
-        assert err.value.lower_bound == cheap_lower_bound(wider, k, FJ)
+        assert_stage_edges(evaluate, random_support(rng, 97), k)
+        x = random_support(rng, 241)
+        session = EvalSession()
+        assert evaluate(x, session) >= iterate_norm(x, 3, FJ)
+        assert session.stats["tables_built"] > 0
 
     def test_literal_rule_past_cutoff_runs_the_tower(self, rng):
         # Heavy first points: from step 5 on the admissible families, which
@@ -725,6 +795,19 @@ class TestRefusalBounds:
                 evaluate(x, session)
             assert session.used <= budget
             assert session.used == sum(session.stats.values())
+
+    def test_weighted_charge(self):
+        # ``used`` counts units times their weight, the counter units alone;
+        # a refusal names what it asked for and what was used before.
+        session = EvalSession(100)
+        session.charge(10, "dp_transitions", 3)
+        assert (session.used, session.stats["dp_transitions"]) == (30, 10)
+        with pytest.raises(BudgetExceededError, match="72 asked for, 30 already used") as err:
+            session.charge(24, "dp_transitions", 3)
+        assert err.value.reason == "budget"
+        assert (session.used, session.stats["dp_transitions"]) == (30, 10)
+        session.charge(70)
+        assert session.used == 100
 
     def test_join_refusal_takes_the_larger_side_bound(self):
         x = FiniteVector.from_blocks([(10, 40, F(1, 10))])
