@@ -21,7 +21,8 @@ pool = [FiniteVector.from_blocks([(1, m, F(1, m))]) for m in range(1, 6)]
 est = distance_lower(Ell1(), Sup(), pool)
 print("D(l1, sup) >=", est.value, "witness:", est.witness.runs)
 
-# Identical norms sit at distance 1; the transforms pin the endpoints.
+# Identical norms sit at distance 1; the transforms pin the endpoints to
+# exact rationals.
 print("similarity at D=1:", PhiVariant.SIMILARITY.transform(F(1)))
 print("logistic   at D=1:", PhiVariant.LOGISTIC.transform(F(1)))
 print("logistic   at D=inf:", PhiVariant.LOGISTIC.transform(None))

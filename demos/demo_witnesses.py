@@ -1,7 +1,8 @@
 """Walkthrough: growth witnesses and certified iterate-ratio bounds.
 
-Run:  python3 demos/demo_witnesses.py          (fast constructions)
-      python3 demos/demo_witnesses.py --full   (adds the level-2 witness, ~30s)
+Run:  python3 demos/demo_witnesses.py          (fast constructions, ~1 s)
+      python3 demos/demo_witnesses.py --full   (adds the level-2 witness:
+                                                2.9-3.5 s in all, 2-vCPU Xeon)
 """
 
 import sys

@@ -19,9 +19,7 @@ from math import lcm
 from .rules import AdmissibilityRule
 from .session import EvalSession
 
-__all__ = ["SmallEvaluator", "LIMIT_KEY"]
-
-LIMIT_KEY = "T"
+__all__ = ["SmallEvaluator"]
 
 
 class SmallEvaluator:
@@ -64,21 +62,21 @@ class SmallEvaluator:
             # passes the largest support index: the sequence is constant
             # from that level on.
             return self.iterate(self.pos[-1] + 1)
-        return Fraction(self._value(0, self.s - 1, LIMIT_KEY), self.denominator)
+        return Fraction(self._value(0, self.s - 1, None), self.denominator)
 
     # -- recursion ----------------------------------------------------------
 
     def _sup(self, a: int, b: int) -> int:
         return max(self._num[a:b + 1])
 
-    def _value(self, a: int, b: int, key) -> int:
+    def _value(self, a: int, b: int, key: int | None) -> int:
         memo = self._value_memo
         cached = memo.get((a, b, key))
         if cached is not None:
             return cached
-        if key == LIMIT_KEY:
+        if key is None:  # the limit
             self.session.charge(1, "ranges_evaluated")
-            result = max(self._sup(a, b), self._family_max(a, b, LIMIT_KEY, None))
+            result = max(self._sup(a, b), self._family_max(a, b, None, None))
             memo[(a, b, key)] = result
             return result
         # Climb this window's levels in a loop from the highest one memoised,
@@ -104,7 +102,7 @@ class SmallEvaluator:
         best = 0
         for t in range(a, b + 1):
             count = b - t + 1
-            if self.rule is AdmissibilityRule.FIGIEL_JOHNSON or group_key == LIMIT_KEY:
+            if self.rule is AdmissibilityRule.FIGIEL_JOHNSON or group_key is None:
                 cap = min(self.pos[t], count)
             else:
                 # step k+1 admits exactly k sets; after discarding sets that

@@ -237,11 +237,11 @@ def _width(s: int, total: int, level: int) -> tuple[np.dtype, int]:
     return dtype, 8 + bound.bit_length() // 128 if wide else 1
 
 
-def _encode(weights, level: int = 4) -> tuple[np.ndarray, int]:
-    """Numerators over the common denominator Q, in the width certified to ``level``."""
+def _encode(weights) -> tuple[np.ndarray, int]:
+    """Numerators over the common denominator Q, in the width certified to level 4."""
     q = lcm(*(w.denominator for w in weights))
     wq = [w.numerator * (q // w.denominator) for w in weights]
-    return np.array(wq, dtype=_width(len(wq), sum(wq), level)[0]), q
+    return np.array(wq, dtype=_width(len(wq), sum(wq), 4)[0]), q
 
 
 def _dp_costs(caps: list[int]) -> list[int]:
@@ -356,8 +356,11 @@ def top_points(pos: list[int], weights: list[Fraction], rule: AdmissibilityRule,
     DP, over the whole support.  A rung that only doubles its table ends the
     climb; under the literal rule only once every cap j-1 spans its point's
     whole window, from where the options can only shrink.  Each stage (the
-    level-1 table, a rung, the top DP) is sized and charged before it runs.
+    level-1 table, a rung, the top DP) is sized and charged before it runs;
+    the level-1 table only with the stage at j = 2, which always follows it.
     """
+    if k is not None and k < 2:
+        raise ValueError("the table tower starts at level 2")
     s = len(pos)
     if s == 0:
         return [Fraction(0)]
@@ -365,16 +368,18 @@ def top_points(pos: list[int], weights: list[Fraction], rule: AdmissibilityRule,
     session = session or EvalSession()
     wq_arr, q = _encode(weights)
     total = sum(wq_arr.tolist())
-    # Level 1.  With caps of 1 the G part is a window maximum, below 2 w[t]:
-    # the literal rule's step 1 admits no family.
-    session.charge(s * (s + 1) // 2, "tables_built")
-    table = _level1_table(pos if fj else [1] * s, wq_arr, s)
-    tops = [Fraction(int(wq_arr.max()), q), Fraction(int(table[0, -1]), 2 * q)]
     for j in itertools.count(2) if k is None else range(2, k + 1):
         caps = pos if fj else [j - 1 if p >= j - 1 else 0 for p in pos]
         costs = _dp_costs(caps)
         dtype, weight = _width(s, total, j)
-        session.charge(costs[-1] if j == k else sum(costs), "dp_transitions", weight)
+        units = costs[-1] if j == k else sum(costs)
+        if j == 2:
+            # Level 1.  With caps of 1 the G part is a window maximum, below
+            # 2 w[t]: the literal rule's step 1 admits no family.
+            session.charge(s * (s + 1) // 2, "tables_built", ahead=units * weight)
+            table = _level1_table(pos if fj else [1] * s, wq_arr, s)
+            tops = [Fraction(int(wq_arr.max()), q), Fraction(int(table[0, -1]), 2 * q)]
+        session.charge(units, "dp_transitions", weight)
         sup = (1 << j) * wq_arr.astype(dtype, copy=False)
         # This rung reads only values that the old width certified, so its
         # sentinels below the diagonal still hold; the values it makes may not.
@@ -391,7 +396,6 @@ def top_points(pos: list[int], weights: list[Fraction], rule: AdmissibilityRule,
         settled = fj or all(s - t <= j - 1 for t, p in enumerate(pos) if p >= j - 1)
         if settled and np.array_equal(np.triu(table), np.triu(2 * below)):
             return tops
-    return tops[:k + 1]
 
 
 def level2_top_points(pos: list[int], weights: list[Fraction],

@@ -1,9 +1,9 @@
 """Norm-distance estimates, phi transforms, order-property matrices, stability gaps.
 
 Distances between registered norms are estimated from below over candidate
-pools in exact rational arithmetic; the logarithmic phi transforms are float
-for reporting only, and every order-sensitive decision compares the rational
-distance values directly.
+pools in exact rational arithmetic; the logarithmic phi transforms are exact
+at the endpoints and float between, for reporting only, and every
+order-sensitive decision compares the rational distance values directly.
 """
 
 from __future__ import annotations
@@ -81,14 +81,23 @@ class PhiVariant(Enum):
     LOGISTIC = "logistic"
     SIMILARITY = "similarity"
 
-    def transform(self, d: Fraction | None) -> float:
+    def transform(self, d: Fraction | None) -> Fraction | float:
+        """Phi of the distance D (``None``: infinity).
+
+        The endpoints have exact images: D <= 1 and D = infinity give a
+        ``Fraction``, and only the interior of the scale needs a float.  Every
+        norm of the algebra is 1 on the first basis vector, so the true
+        distance is at least 1, and a pool estimate below 1 is raised to that
+        certified floor.
+        """
         if d is None:
-            return 1.0 if self is PhiVariant.LOGISTIC else 0.0
-        if d < 1:
-            raise ValueError("transforms are defined for distances >= 1")
-        logd = math.log(d)
-        logistic = logd / (1 + logd)
-        return logistic if self is PhiVariant.LOGISTIC else 1.0 - logistic
+            logistic = Fraction(1)
+        elif d <= 1:
+            logistic = Fraction(0)
+        else:
+            logd = math.log(d)
+            logistic = logd / (1 + logd)
+        return logistic if self is PhiVariant.LOGISTIC else 1 - logistic
 
     @property
     def increasing(self) -> bool:
@@ -138,32 +147,22 @@ def distance_lower(m: NormSpec, n: NormSpec, pool: list[FiniteVector],
             ratio = max(ratio, 1 / ratio)
         if best is None or ratio > best:
             best, witness = ratio, x
-    if sided == "two-sided" and best < 1:
-        best = Fraction(1)
     return DistanceEstimate(best, "lower-bound", sided, witness)
 
 
 @dataclass
 class PhiEstimate:
-    """Float phi value plus the exact distance estimate it came from.
+    """Phi value plus the exact distance estimate it came from.
 
     ``bound_direction`` records how the transform maps a lower bound on D:
     a lower bound under the increasing transform, an upper bound under the
     decreasing one.
     """
 
-    value: float
+    value: Fraction | float
     bound_direction: str  # "lower" | "upper"
     variant: PhiVariant
     d_estimate: DistanceEstimate
-
-    def to_report(self) -> dict:
-        return {
-            "value": self.value,
-            "bound_direction": self.bound_direction,
-            "variant": self.variant.value,
-            "d": self.d_estimate.to_report(),
-        }
 
 
 def phi_of(m: NormSpec, n: NormSpec, variant: PhiVariant,
@@ -232,7 +231,7 @@ class OrderPropertyMatrix:
 
     def phi_matrix_for_stability(self, variant: PhiVariant) -> list[list[float]]:
         return [
-            [variant.transform(d) for d in row]
+            [float(variant.transform(d)) for d in row]
             for row in self.d_matrix_for_stability()
         ]
 
@@ -347,7 +346,7 @@ class StabilityReport:
                 "inf_witness": list(self.inf_witness)}
 
 
-def stability_gap(matrix: list[list[float]]) -> StabilityReport:
+def stability_gap(matrix: list[list[float]] | list[list[Fraction]]) -> StabilityReport:
     """sup over the strict upper triangle minus inf over the strict lower."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -371,16 +370,12 @@ def stability_gap(matrix: list[list[float]]) -> StabilityReport:
 def stability_sign_exact(d_matrix: list[list[Fraction]], variant: PhiVariant) -> int:
     """Sign of the stability gap decided on the rational distances alone.
 
-    The transform is strictly monotone, so the gap's sign only depends on
-    comparing the extreme distances of the two triangles; no floats enter.
+    The increasing transform keeps the order of the distances, so the gap of
+    the phi matrix has the sign of the gap of the distances.  The decreasing
+    one reverses it: the phi gap has the sign of max(lower of d) - min(upper
+    of d), which is the gap of the transposed distances.  No floats enter.
     """
-    rows = len(d_matrix)
-    upper = [d_matrix[i][j] for i in range(rows) for j in range(len(d_matrix[i])) if i < j]
-    lower = [d_matrix[i][j] for i in range(rows) for j in range(len(d_matrix[i])) if j < i]
-    if not upper or not lower:
-        raise ValueError("matrix has an empty triangle")
-    if variant.increasing:
-        a, b = max(upper), min(lower)
-        return (a > b) - (a < b)
-    a, b = min(upper), max(lower)
-    return (b > a) - (b < a)
+    if not variant.increasing:
+        d_matrix = [list(column) for column in zip(*d_matrix, strict=True)]
+    gap = stability_gap(d_matrix).gap
+    return (gap > 0) - (gap < 0)

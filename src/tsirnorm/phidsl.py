@@ -290,19 +290,7 @@ class EvalContext:
         if self.atom_evaluator is not None:
             return self.atom_evaluator(name, target)
         d = distance_lower(norm, target, self.pool, self.variant.default_sided, session)
-        value = d.value
-        if value is not None and value < 1:
-            # Every norm in the algebra takes the value 1 on the first basis
-            # vector, so the true distance is at least 1; a weaker pool
-            # estimate may be raised to that certified floor.
-            value = Fraction(1)
-        # Distance endpoints have exact rational images; only the interior
-        # of the scale needs floating point.
-        if value == 1:
-            return Fraction(1) if self.variant is PhiVariant.SIMILARITY else Fraction(0)
-        if value is None:
-            return Fraction(0) if self.variant is PhiVariant.SIMILARITY else Fraction(1)
-        return self.variant.transform(value)
+        return self.variant.transform(d.value)
 
 
 def eval_phi(expr: PhiExpr, target: NormSpec, ctx: EvalContext,

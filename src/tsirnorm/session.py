@@ -53,12 +53,14 @@ class EvalSession:
             "families_enumerated": 0,
         }
 
-    def charge(self, units: int, what: str = "dp_transitions", weight: int = 1) -> None:
-        # Refuse before counting, so the counters hold only work that was done.
+    def charge(self, units: int, what: str = "dp_transitions", weight: int = 1,
+               ahead: int = 0) -> None:
+        # Refuse before counting, so the counters hold only work that was
+        # done; ``ahead`` is work that must follow for this work to be of use.
         used = self.used + units * weight
-        if used > self.budget:
+        if used + ahead > self.budget:
             raise BudgetExceededError(f"work budget of {self.budget} units exhausted: "
-                                      f"{used - self.used} asked for, {self.used} already used",
-                                      reason="budget")
+                                      f"{used + ahead - self.used} asked for, "
+                                      f"{self.used} already used", reason="budget")
         self.used = used
         self.stats[what] += units

@@ -183,13 +183,10 @@ def base_witness(n: int, start: int = 1) -> Witness:
     parts = [
         FiniteVector.from_blocks([(m, 2 * m - 1, Fraction(1, m))]) for m in sched.m
     ]
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
+    total = sum(parts[1:], parts[0])
 
     lines: list[CertificateLine] = []
     half = Fraction(1, 2)
-    part_values = []
     for i, part in enumerate(parts, start=1):
         value, checks = _level1_cross_checked(part)
         ok = value == half and _part_mass_squeeze(part) and l1_norm(part) == 1
@@ -197,7 +194,6 @@ def base_witness(n: int, start: int = 1) -> Witness:
             f"|x_{i}|_1", value, "=", half, "exact", ok,
             checks + ("mass-squeeze",),
         ))
-        part_values.append(value)
 
     sum_value, sum_checks = _level1_cross_checked(total)
     bound = _sum_structural_bound(sched)
@@ -206,17 +202,23 @@ def base_witness(n: int, start: int = 1) -> Witness:
         "|x|_1", sum_value, "<=", Fraction(1), "exact", ok,
         sum_checks + ("schedule-bound",),
     ))
+    return _closed_witness(1, n, sched.m, parts, total, lines)
 
-    family_value = sum(part_values, Fraction(0)) / 2
+
+def _closed_witness(level: int, n: int, starts: tuple[int, ...], parts: list[FiniteVector],
+                    total: FiniteVector, lines: list[CertificateLine]) -> Witness:
+    """Close ``lines`` (n part lines, then the sum line) with the family line:
+    the parts form one admissible family, so the sum's next iterate is at
+    least half their level-``level`` values.  A witness must verify."""
+    family_value = sum((line.left for line in lines[:n]), Fraction(0)) / 2
     ok = _windows_admissible(parts) and family_value >= Fraction(n, 4)
     lines.append(CertificateLine(
-        "|x|_2", family_value, ">=", Fraction(n, 4), "certified-lower-bound", ok,
-        ("family-certificate",),
+        f"|{'x' if level == 1 else 'z'}|_{level + 1}", family_value, ">=", Fraction(n, 4),
+        "certified-lower-bound", ok, ("family-certificate",),
     ))
-
-    witness = Witness(1, n, sched.m, parts, total, lines)
+    witness = Witness(level, n, starts, parts, total, lines)
     if not witness.verified:
-        raise AssertionError("base witness failed verification")
+        raise AssertionError(f"level-{level} witness failed verification")
     return witness
 
 
@@ -260,9 +262,7 @@ def inductive_witness(k: int, n: int, start: int = 1,
         zs.append(z)
         window_start = n * y.max_index + 1
 
-    total = zs[0]
-    for z in zs[1:]:
-        total = total + z
+    total = sum(zs[1:], zs[0])
 
     lines: list[CertificateLine] = []
     half = Fraction(1, 2)
@@ -282,18 +282,7 @@ def inductive_witness(k: int, n: int, start: int = 1,
         f"|z|_{k}", sum_value, "<=", Fraction(1), "exact", sum_value <= 1,
         tuple(checks),
     ))
-
-    family_value = sum((line.left for line in lines[:n]), Fraction(0)) / 2
-    ok = _windows_admissible(zs) and family_value >= Fraction(n, 4)
-    lines.append(CertificateLine(
-        f"|z|_{k + 1}", family_value, ">=", Fraction(n, 4),
-        "certified-lower-bound", ok, ("family-certificate",),
-    ))
-
-    witness = Witness(k, n, tuple(starts), zs, total, lines)
-    if not witness.verified:
-        raise AssertionError(f"level-{k} witness failed verification")
-    return witness
+    return _closed_witness(k, n, tuple(starts), zs, total, lines)
 
 
 # ---------------------------------------------------------------------------

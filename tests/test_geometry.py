@@ -78,6 +78,23 @@ class TestPhi:
         assert PhiVariant.LOGISTIC.transform(None) == 1.0
         assert PhiVariant.SIMILARITY.transform(None) == 0.0
 
+    def test_exact_at_the_endpoints_float_between(self):
+        # A distance below 1 is raised to the certified floor 1.
+        for d, logistic in ((F(1, 4), F(0)), (F(1), F(0)), (None, F(1))):
+            for variant, want in ((PhiVariant.LOGISTIC, logistic),
+                                  (PhiVariant.SIMILARITY, 1 - logistic)):
+                value = variant.transform(d)
+                assert value == want and isinstance(value, F)
+        inside = PhiVariant.LOGISTIC.transform(F(4))
+        assert isinstance(inside, float) and 0 < inside < 1
+        assert PhiVariant.SIMILARITY.transform(F(4)) == 1 - inside
+
+    def test_pool_below_one_gives_the_floor(self):
+        # sup/l1 on a flat block is 1/4: phi_of takes the floor, not an error.
+        est = phi_of(Sup(), Ell1(), PhiVariant.LOGISTIC, [flat(4)])
+        assert est.d_estimate.value == F(1, 4)
+        assert est.value == 0 and isinstance(est.value, F)
+
     def test_range_and_monotonicity(self):
         values = [F(1), F(9, 8), F(2), F(100), None]
         logistic = [PhiVariant.LOGISTIC.transform(v) for v in values]
@@ -144,3 +161,32 @@ class TestStability:
                 assert rep.gap > 0
             elif sign < 0:
                 assert rep.gap < 0
+
+    # Rows by denominator, columns by numerator, as d_matrix_for_stability;
+    # then the expected sign under LOGISTIC and under SIMILARITY.  The
+    # increasing transform compares max(upper) with min(lower), the
+    # decreasing one max(lower) with min(upper).
+    @pytest.mark.parametrize("d, logistic, similarity", [
+        ([[1, 3, 2], [2, 1, 3], [2, 2, 1]], 1, 0),
+        ([[1, 2, 2], [2, 1, 2], [2, 2, 1]], 0, 0),
+        ([[1, 2, 2], [3, 1, 2], [2, 3, 1]], 0, 1),
+        ([[1, 1, 1], [2, 1, 1], [2, 2, 1]], -1, 1),
+        ([[1, 2, 2], [1, 1, 2], [1, 1, 1]], 1, -1),
+        ([[1, F(9, 8)], [F(5, 4), 1]], -1, 1),
+    ])
+    def test_exact_sign_on_hand_built_distances(self, d, logistic, similarity):
+        d = [[F(v) for v in row] for row in d]
+        for variant, want in ((PhiVariant.LOGISTIC, logistic),
+                              (PhiVariant.SIMILARITY, similarity)):
+            phi = [[float(variant.transform(v)) for v in row] for row in d]
+            gap = stability_gap(phi).gap
+            assert stability_sign_exact(d, variant) == want == (gap > 0) - (gap < 0)
+
+    @pytest.mark.parametrize("d", [[[F(1), F(2)]], [[F(1), F(2)], [F(3)]]],
+                             ids=["one-row", "ragged"])
+    def test_exact_sign_rejects_what_the_gap_rejects(self, d):
+        with pytest.raises(ValueError):
+            stability_gap(d)
+        for variant in PhiVariant:
+            with pytest.raises(ValueError):
+                stability_sign_exact(d, variant)

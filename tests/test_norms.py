@@ -341,8 +341,7 @@ class TestFastPathAgreement:
             cuts = sorted(rng.sample(range(1, total), size - 1))
             w = [F(b - a, q) for a, b in zip([0] + cuts, cuts + [total])]
             narrow, wide = narrow_wide[bits]
-            widths = [fastpaths._encode(w, level)[0].dtype
-                      for level in (j, j + 1)]
+            widths = [fastpaths._width(size, total, level)[0] for level in (j, j + 1)]
             assert widths == [wide if offset >= 0 else narrow, wide]
             sides.add((bits, offset >= 0))
             se = SmallEvaluator(pos, w, FJ)
@@ -641,35 +640,42 @@ def generic_value(x, k):
 
 class StageRecorder(EvalSession):
     """A session that records, for each charge, the units used before it,
-    the units it added and the counters before it."""
+    the units it added, the units it asked to follow and the counters before it."""
 
     def __init__(self, budget=None):
         super().__init__(budget)
         self.stages = []
 
-    def charge(self, *args, **kwargs):
+    def charge(self, *args, ahead=0, **kwargs):
         used, stats = self.used, dict(self.stats)
-        super().charge(*args, **kwargs)
-        self.stages.append((used, self.used - used, stats))
+        super().charge(*args, ahead=ahead, **kwargs)
+        self.stages.append((used, self.used - used, ahead, stats))
 
 
 def assert_stage_edges(evaluate, x, k):
-    """A budget of the units before a stage plus its cost passes that stage;
-    one unit less refuses it as ``budget`` before it counts anything."""
+    """Each stage has an edge: the units used before it, its cost and the cost
+    it asks to follow.  A budget of the edge passes the stage; one unit less
+    refuses as ``budget`` at the first stage of that edge, before it counts
+    anything.  Only the level-1 table asks for a following cost, that of the
+    stage at j = 2, which always runs with it: the two share one edge."""
     full = StageRecorder()
     value = evaluate(x, full)
     assert len(full.stages) >= 3  # the level-1 table, a rung, one more stage
-    for used, cost, stats in full.stages:
-        session = EvalSession(used + cost)
+    aheads = [ahead for _, _, ahead, _ in full.stages]
+    assert aheads == [full.stages[1][1]] + [0] * (len(aheads) - 1) and aheads[0] > 0
+    edges = [used + cost + ahead for used, cost, ahead, _ in full.stages]
+    for edge in edges:
+        session = EvalSession(edge)
         try:
             assert evaluate(x, session) == value
         except BudgetExceededError:
             pass  # at a later stage
-        assert session.used == used + cost
-        session = EvalSession(used + cost - 1)
+        assert session.used == edge
+        session = EvalSession(edge - 1)
         with pytest.raises(BudgetExceededError) as err:
             evaluate(x, session)
         assert err.value.reason == "budget"
+        used, _, _, stats = full.stages[edges.index(edge)]
         assert (session.used, session.stats) == (used, stats)
         assert err.value.lower_bound == cheap_lower_bound(x, k, FJ)
 
@@ -694,7 +700,7 @@ class TestDispatchBoundaries:
         assert session.stats["tables_built"] > 0
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_object_width_point_cap(self, rng, k):
+    def test_object_width_runs_past_96_points(self, rng, k):
         # The object width has no point cap: 96, 97 and 100 points of prime
         # denominators run.  Adding points never lowers the value, and the
         # last ones, of weight below 1/500, leave the 96-point value as it is.
@@ -711,7 +717,7 @@ class TestDispatchBoundaries:
             assert session.used > sum(session.stats.values())
         assert values[0] == values[1] == values[2]
 
-    def test_level3_point_limit(self, rng):
+    def test_level3_is_refused_by_work_alone(self, rng):
         # No point limit: work alone refuses.  241 points run level 3, and
         # every stage of a level-3 evaluation is refused at its charge edge.
         assert_stage_edges(lambda x, s: iterate_norm(x, 3, FJ, s), random_support(rng, 97), 3)
@@ -721,7 +727,7 @@ class TestDispatchBoundaries:
         assert session.stats["tables_built"] > 0
 
     @pytest.mark.parametrize("k", [4, None], ids=["level4", "limit"])
-    def test_tower_point_limit(self, rng, k):
+    def test_tower_is_refused_by_work_alone(self, rng, k):
         # The full-table rungs run past the generic evaluator's reach, at 241
         # points too; every stage is refused at its charge edge.
         def evaluate(x, session=None):

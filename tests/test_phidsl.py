@@ -187,6 +187,17 @@ class TestEval:
         assert eval_phi(parse_phi("(phi(M)&(phi(M)|phi(L)))"), Iterate(2), ctx) == F(1, 2)
         assert calls == ["M", "L"]
 
+    def test_atom_at_the_floor_is_exact_and_inside_is_float(self):
+        # On 1..4:1, |x|_sup / |x|_l1 = 1/4, raised to the floor D = 1, and
+        # |x|_l1 / |x|_sup = 4, strictly inside the scale.
+        ctx = EvalContext({"S": Sup(), "L": Ell1()}, PhiVariant.LOGISTIC,
+                          [FiniteVector.from_blocks([(1, 4, F(1))])])
+        floor = eval_phi(parse_phi("phi(S)"), Ell1(), ctx)
+        inside = eval_phi(parse_phi("phi(L)"), Sup(), ctx)
+        assert floor == 0 and isinstance(floor, F)
+        assert inside == PhiVariant.LOGISTIC.transform(F(4)) and isinstance(inside, float)
+        assert 0 < inside < 1
+
     def test_unresolved_atom(self):
         ctx = EvalContext({"M": Iterate(1)})
         with pytest.raises(PhiEvalError):

@@ -4,6 +4,7 @@ import pytest
 
 from tsirnorm import (
     AdmissibilityRule,
+    BudgetExceededError,
     Ell1,
     EvalSession,
     FiniteVector,
@@ -93,8 +94,15 @@ class TestInductiveWitness:
         with pytest.raises(ValueError):
             inductive_witness(2, 1)
 
-    # Level-2 witnesses are exercised end to end by the acceptance suite;
-    # they cost tens of seconds each.
+    def test_refusal_names_the_unverified_line(self):
+        # The first window's y has 9 points; the second's has 1459, whose
+        # level-1 table and level-2 stage together pass a million units.
+        with pytest.raises(BudgetExceededError) as err:
+            inductive_witness(2, 2, session=EvalSession(1_000_000))
+        assert str(err.value).startswith("|y_2|_2 not exactly verifiable: work budget")
+        assert err.value.reason == "budget" and err.value.lower_bound == F(1, 2)
+
+    # Level-2 witnesses are exercised end to end by the acceptance suite.
 
 
 class TestRatios:
