@@ -10,14 +10,13 @@ from tsirnorm.geometry import (
     PhiVariant,
     distance_lower,
     order_property_matrix,
-    phi_of,
     stability_gap,
     stability_sign_exact,
 )
 
 # D(M, N) compares two norms over the l1-sphere.  Pools certify it from
 # below; flat vectors already separate l1 from sup by the factor m.
-pool = [FiniteVector.from_blocks([(1, m, F(1, m))]) for m in range(1, 6)]
+pool = [FiniteVector([(1, m, F(1, m))]) for m in range(1, 6)]
 est = distance_lower(Ell1(), Sup(), pool)
 print("D(l1, sup) >=", est.value, "witness:", est.witness.runs)
 
@@ -27,8 +26,10 @@ print("similarity at D=1:", PhiVariant.SIMILARITY.transform(F(1)))
 print("logistic   at D=1:", PhiVariant.LOGISTIC.transform(F(1)))
 print("logistic   at D=inf:", PhiVariant.LOGISTIC.transform(None))
 
-pe = phi_of(Iterate(2), Iterate(2), PhiVariant.SIMILARITY, [FiniteVector.basis(1)])
-print("phi(M, M) under similarity:", pe.value)
+# The phi of two norms is the transform of their pool distance.
+similarity = PhiVariant.SIMILARITY
+d = distance_lower(Iterate(2), Iterate(2), [FiniteVector.basis(1)], similarity.default_sided)
+print("phi(M, M) under similarity:", similarity.transform(d.value))
 
 # The order-property matrix: one-sided estimates between iterate levels.
 # Above the denominator the ladder certifies <= 1 exactly; below it,

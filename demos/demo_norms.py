@@ -56,6 +56,6 @@ z = parse_vector("1:1,2:1")
 print("\njoin(l1, sup) at t_1+t_2:", norm_eval(Join(Ell1(), Sup()), z))
 
 # Block-compressed vectors keep huge supports cheap at levels 0 and 1.
-wide = FiniteVector.from_blocks([(10**6, 2 * 10**6 - 1, F(1, 10**6))])
+wide = FiniteVector([(10**6, 2 * 10**6 - 1, F(1, 10**6))])
 print("\nflat block on [1e6, 2e6):")
 print("  sup:", iterate_norm(wide, 0), " first iterate:", iterate_norm(wide, 1))

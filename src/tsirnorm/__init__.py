@@ -5,14 +5,12 @@ from .session import BudgetExceededError, EvalSession
 from .vectors import (
     FiniteVector,
     IndexSet,
-    Rational,
     VectorParseError,
     format_vector,
     l1_norm,
     normalize_l1,
     parse_vector,
     precedes,
-    restrict,
     sup_norm,
 )
 from .norms import (
@@ -22,7 +20,6 @@ from .norms import (
     NormSpec,
     Sup,
     TsirelsonLimit,
-    format_normspec,
     iterate_norm,
     norm_eval,
     parse_normspec,
@@ -39,14 +36,12 @@ __all__ = [
     "EvalSession",
     "FiniteVector",
     "IndexSet",
-    "Rational",
     "VectorParseError",
     "format_vector",
     "l1_norm",
     "normalize_l1",
     "parse_vector",
     "precedes",
-    "restrict",
     "sup_norm",
     "Ell1",
     "Sup",
@@ -54,7 +49,6 @@ __all__ = [
     "TsirelsonLimit",
     "Join",
     "NormSpec",
-    "format_normspec",
     "iterate_norm",
     "norm_eval",
     "parse_normspec",

@@ -31,20 +31,10 @@ from .geometry import (
 )
 from .norms import norm_eval, parse_normspec
 from .oracle import brute_force_norm
-from .phidsl import (
-    EvalContext,
-    PhiEvalError,
-    PhiParseError,
-    approx_realizer,
-    eval_phi,
-    mpv,
-    parse_phi,
-    phi_to_json,
-    print_phi,
-)
+from .phidsl import EvalContext, approx_realizer, eval_phi, mpv, parse_phi
 from .rules import AdmissibilityRule
 from .session import BudgetExceededError, EvalSession
-from .vectors import VectorParseError, format_vector, parse_vector
+from .vectors import format_vector, parse_vector
 from .witnesses import (
     SearchBudget,
     dichotomy_probe,
@@ -96,6 +86,8 @@ def cmd_witness(args, session):
 
 def cmd_ratio(args, session):
     if args.num or args.den:
+        if args.k is not None or args.n is not None:
+            raise ValueError("give either --k/--n or --num/--den")
         if not (args.num and args.den):
             raise ValueError("--num and --den must be given together")
         result = ratio_search(parse_normspec(args.num, args.rule),
@@ -158,18 +150,25 @@ def _phi_context(args) -> EvalContext:
     return EvalContext(registry, PhiVariant.parse(args.variant), pool)
 
 
-def cmd_phi(args, session):
+def cmd_phi_parse(args, session):
     expr = parse_phi(args.expr)
-    if args.phi_command == "parse":
-        return {"ast": phi_to_json(expr), "canonical": print_phi(expr)}, print_phi(expr), True
-    if args.phi_command == "mpv":
-        value = mpv(expr)
-        return {"mpv": str(value)}, str(value), True
-    ctx = _phi_context(args)
-    if args.phi_command == "eval":
-        value = eval_phi(expr, parse_normspec(args.target, args.rule), ctx, session)
-        tag = "exact" if isinstance(value, Fraction) else "float-estimate"
-        return {"value": {"value": str(value), "tag": tag}}, str(value), True
+    return {"ast": expr.to_json(), "canonical": str(expr)}, str(expr), True
+
+
+def cmd_phi_mpv(args, session):
+    value = mpv(parse_phi(args.expr))
+    return {"mpv": str(value)}, str(value), True
+
+
+def cmd_phi_eval(args, session):
+    expr, ctx = parse_phi(args.expr), _phi_context(args)
+    value = eval_phi(expr, parse_normspec(args.target, args.rule), ctx, session)
+    tag = "exact" if isinstance(value, Fraction) else "float-estimate"
+    return {"value": {"value": str(value), "tag": tag}}, str(value), True
+
+
+def cmd_phi_realize(args, session):
+    expr, ctx = parse_phi(args.expr), _phi_context(args)
     fields = approx_realizer(expr, ctx, session).to_report()
     return fields, fields["norm"], True
 
@@ -214,6 +213,18 @@ def _search(p):
                    help="number of search candidates drawn")
 
 
+def _expr(p):
+    p.add_argument("expr", help="e.g. '(1/2*phi(M) | 1)'")
+
+
+def _phi_options(p):
+    p.add_argument("--norm", action="append", metavar="ID=SPEC",
+                   help="register a norm (repeatable)")
+    p.add_argument("--variant", default="similarity")
+    p.add_argument("--pool", action="append", metavar="VECTOR",
+                   help="distance-estimation candidate (repeatable)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsirnorm",
@@ -222,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, *options):
-        p = subs.add_parser(name, help=help)
+    def command(name, func, help, *options, within=subs):
+        p = within.add_parser(name, help=help)
         for option in options:
             option(p)
         p.add_argument("--json", action="store_true",
@@ -265,15 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build the iterate matrix up to this level instead")
     p.add_argument("--variant", default="logistic")
 
-    p = command("phi", cmd_phi, "phi-polynomial DSL", _rule)
-    p.add_argument("phi_command", choices=["parse", "eval", "mpv", "realize"])
-    p.add_argument("expr")
-    p.add_argument("--norm", action="append", metavar="ID=SPEC",
-                   help="register a norm (repeatable)")
-    p.add_argument("--target", default="l1", help="target norm spec for eval")
-    p.add_argument("--variant", default="similarity")
-    p.add_argument("--pool", action="append", metavar="VECTOR",
-                   help="distance-estimation candidate (repeatable)")
+    phi = subs.add_parser("phi", help="phi-polynomial DSL").add_subparsers(
+        dest="phi_command", required=True)
+    command("parse", cmd_phi_parse, "canonical form and JSON tree", _expr, within=phi)
+    command("mpv", cmd_phi_mpv, "maximum possible value", _expr, within=phi)
+    p = command("eval", cmd_phi_eval, "value against a target norm",
+                _expr, _rule, _phi_options, within=phi)
+    p.add_argument("--target", default="l1", help="target norm spec")
+    command("realize", cmd_phi_realize, "join of registered norms aiming at the mpv",
+            _expr, _rule, _phi_options, within=phi)
 
     p = command("probe", cmd_probe, "order-property dichotomy probe", _budget, _search)
     p.add_argument("targets", nargs="+", help="increasing rational targets")
@@ -305,7 +316,7 @@ def main(argv=None) -> int:
             print(f"best certified lower bound: {lower}", file=sys.stderr)
         refused = {"reason": exc.reason, "message": str(exc), "lower_bound": lower}
         fields, plain, code = {"refused": refused}, None, EXIT_REFUSED
-    except (VectorParseError, PhiParseError, PhiEvalError, ValueError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:

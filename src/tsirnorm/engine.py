@@ -76,7 +76,7 @@ class SmallEvaluator:
             return cached
         if key is None:  # the limit
             self.session.charge(1, "ranges_evaluated")
-            result = max(self._sup(a, b), self._family_max(a, b, None, None))
+            result = max(self._sup(a, b), self._family_max(a, b, None))
             memo[(a, b, key)] = result
             return result
         # Climb this window's levels in a loop from the highest one memoised,
@@ -89,15 +89,16 @@ class SmallEvaluator:
             if level == 0:
                 result = self._sup(a, b)
             else:
-                result = max(memo[(a, b, level - 1)], self._family_max(a, b, level - 1, level))
+                result = max(memo[(a, b, level - 1)], self._family_max(a, b, level - 1))
             memo[(a, b, level)] = result
         return result
 
-    def _family_max(self, a: int, b: int, group_key, step_k: int | None) -> int:
+    def _family_max(self, a: int, b: int, group_key: int | None) -> int:
         """Half the best admissible-family sum over the window [a..b].
 
         Families are consecutive point groups covering [t..b] for some start
-        t; single-group families never set the maximum and are skipped.
+        t, valued at level ``group_key`` (None: the limit); single-group
+        families never set the maximum and are skipped.
         """
         best = 0
         for t in range(a, b + 1):
@@ -105,12 +106,11 @@ class SmallEvaluator:
             if self.rule is AdmissibilityRule.FIGIEL_JOHNSON or group_key is None:
                 cap = min(self.pos[t], count)
             else:
-                # step k+1 admits exactly k sets; after discarding sets that
-                # miss the support, at most k groups with min >= k remain.
-                assert step_k is not None
-                if self.pos[t] < step_k - 1:
+                # step k+1 (k = group_key) admits exactly k sets; after discarding
+                # sets that miss the support, at most k groups with min >= k remain.
+                if self.pos[t] < group_key:
                     continue
-                cap = min(step_k - 1, count)
+                cap = min(group_key, count)
             if cap < 2:
                 continue
             self.session.charge(1, "families_enumerated")

@@ -9,6 +9,7 @@ order-sensitive decision compares the rational distance values directly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,9 +30,7 @@ from .witnesses import (
 __all__ = [
     "DistanceEstimate",
     "PhiVariant",
-    "PhiEstimate",
     "distance_lower",
-    "phi_of",
     "MatrixEntry",
     "OrderPropertyMatrix",
     "order_property_matrix",
@@ -95,7 +94,10 @@ class PhiVariant(Enum):
         elif d <= 1:
             logistic = Fraction(0)
         else:
-            logd = math.log(d)
+            # math.log takes a Fraction through float, which overflows past
+            # the largest double; there the log is taken of each part.
+            logd = (math.log(d) if d <= sys.float_info.max
+                    else math.log(d.numerator) - math.log(d.denominator))
             logistic = logd / (1 + logd)
         return logistic if self is PhiVariant.LOGISTIC else 1 - logistic
 
@@ -150,30 +152,6 @@ def distance_lower(m: NormSpec, n: NormSpec, pool: list[FiniteVector],
     return DistanceEstimate(best, "lower-bound", sided, witness)
 
 
-@dataclass
-class PhiEstimate:
-    """Phi value plus the exact distance estimate it came from.
-
-    ``bound_direction`` records how the transform maps a lower bound on D:
-    a lower bound under the increasing transform, an upper bound under the
-    decreasing one.
-    """
-
-    value: Fraction | float
-    bound_direction: str  # "lower" | "upper"
-    variant: PhiVariant
-    d_estimate: DistanceEstimate
-
-
-def phi_of(m: NormSpec, n: NormSpec, variant: PhiVariant,
-           pool: list[FiniteVector],
-           session: EvalSession | None = None) -> PhiEstimate:
-    d = distance_lower(m, n, pool, variant.default_sided, session)
-    value = variant.transform(d.value)
-    direction = "lower" if variant.increasing else "upper"
-    return PhiEstimate(value, direction, variant, d)
-
-
 # ---------------------------------------------------------------------------
 # Order-property matrix
 # ---------------------------------------------------------------------------
@@ -199,8 +177,8 @@ class MatrixEntry:
 def default_matrix_pool() -> list[FiniteVector]:
     """Small-support candidates evaluable exactly at every desk-scale level."""
     return [FiniteVector.basis(1), FiniteVector.basis(3),
-            FiniteVector.from_blocks([(1, 4, Fraction(1, 4))]),
-            FiniteVector.from_blocks([(3, 5, Fraction(1))]),
+            FiniteVector([(1, 4, Fraction(1, 4))]),
+            FiniteVector([(3, 5, Fraction(1))]),
             base_witness(2).sum, cascade_vector(2, 4), cascade_stack(2, 2, 2, Fraction(1, 3))]
 
 

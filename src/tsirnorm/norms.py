@@ -32,7 +32,6 @@ __all__ = [
     "stabilization_level",
     "norm_eval",
     "parse_normspec",
-    "format_normspec",
 ]
 
 _FJ = AdmissibilityRule.FIGIEL_JOHNSON
@@ -161,7 +160,7 @@ def _exact(x: FiniteVector, k: int | None, rule: AdmissibilityRule,
     try:
         points = _abs_points(x)
         if x.support_size <= _SMALL_CUTOFF:
-            evaluator = SmallEvaluator(*points, rule, session or EvalSession())
+            evaluator = SmallEvaluator(*points, rule, session)
             return [evaluator.limit() if k is None else evaluator.iterate(k)]
         if rule is _FJ and k == 2:
             return [fastpaths.level2_top_points(*points, session)]
@@ -259,7 +258,3 @@ def parse_normspec(text: str, rule: AdmissibilityRule = _FJ) -> NormSpec:
                             parse_normspec(inner[i + 1:], rule))
         raise ValueError(f"join needs two comma-separated parts: {text!r}")
     raise ValueError(f"unknown norm spec {text!r}")
-
-
-def format_normspec(spec: NormSpec) -> str:
-    return str(spec)

@@ -19,7 +19,7 @@ from functools import reduce
 from typing import Callable, ClassVar, Union
 
 from .geometry import PhiVariant, distance_lower
-from .norms import Join, NormSpec, format_normspec
+from .norms import Join, NormSpec
 from .session import EvalSession
 from .vectors import FiniteVector
 
@@ -34,8 +34,6 @@ __all__ = [
     "PhiParseError",
     "PhiEvalError",
     "parse_phi",
-    "print_phi",
-    "phi_to_json",
     "EvalContext",
     "eval_phi",
     "mpv",
@@ -249,16 +247,8 @@ class _Parser:
 
 
 def parse_phi(text: str) -> PhiExpr:
+    """Expression of the text; str(e) is its canonical form, parse_phi(str(e)) == e."""
     return _Parser(text).parse()
-
-
-def print_phi(expr: PhiExpr) -> str:
-    """Canonical parenthesised form; parse_phi(print_phi(e)) == e."""
-    return str(expr)
-
-
-def phi_to_json(expr: PhiExpr) -> dict:
-    return expr.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +316,7 @@ class RealizerResult:
 
     def to_report(self) -> dict:
         return {
-            "norm": format_normspec(self.norm),
+            "norm": str(self.norm),
             "achieved": str(self.achieved),
             "mpv": str(self.target_mpv),
         }

@@ -17,20 +17,16 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
-    "Rational",
     "FiniteVector",
     "IndexSet",
     "parse_vector",
     "format_vector",
     "precedes",
-    "restrict",
     "sup_norm",
     "l1_norm",
     "normalize_l1",
     "VectorParseError",
 ]
-
-Rational = Fraction
 
 # Guard for operations that would materialise one entry per index.
 _MATERIALIZE_LIMIT = 2_000_000
@@ -101,10 +97,6 @@ class FiniteVector:
     def from_entries(cls, entries: Mapping[int, object] | Iterable[tuple[int, object]]) -> "FiniteVector":
         items = entries.items() if isinstance(entries, Mapping) else entries
         return cls((i, i, v) for i, v in items)
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[tuple[int, int, object]]) -> "FiniteVector":
-        return cls(blocks)
 
     @classmethod
     def basis(cls, index: int) -> "FiniteVector":
@@ -183,11 +175,6 @@ class FiniteVector:
         if c == 0:
             return FiniteVector.zero()
         return FiniteVector((s, e, c * v) for s, e, v in self.runs)
-
-    def __mul__(self, c) -> "FiniteVector":
-        return self.scale(c)
-
-    __rmul__ = __mul__
 
     # -- restriction --------------------------------------------------
 
@@ -277,10 +264,6 @@ def precedes(e: IndexSet, f: IndexSet, strict: bool = False) -> bool:
     if e.is_empty or f.is_empty:
         raise ValueError("precedes requires nonempty index sets")
     return e.max < f.min if strict else e.max <= f.min
-
-
-def restrict(x: FiniteVector, e: IndexSet) -> FiniteVector:
-    return x.restrict(e)
 
 
 def sup_norm(x: FiniteVector) -> Fraction:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import fastpaths
-from .norms import Iterate, NormSpec, format_normspec, iterate_norm, norm_eval
+from .norms import Iterate, NormSpec, iterate_norm, norm_eval
 from .rules import AdmissibilityRule
 from .session import BudgetExceededError, EvalSession
 from .vectors import FiniteVector, format_vector, l1_norm, normalize_l1, sup_norm
@@ -181,7 +181,7 @@ def base_witness(n: int, start: int = 1) -> Witness:
         raise ValueError("n must be >= 2")
     sched = schedule(n, start)
     parts = [
-        FiniteVector.from_blocks([(m, 2 * m - 1, Fraction(1, m))]) for m in sched.m
+        FiniteVector([(m, 2 * m - 1, Fraction(1, m))]) for m in sched.m
     ]
     total = sum(parts[1:], parts[0])
 
@@ -301,8 +301,8 @@ class CertifiedRatio:
     def to_report(self) -> dict:
         return {
             "candidate": format_vector(self.x),
-            "numerator": format_normspec(self.numerator),
-            "denominator": format_normspec(self.denominator),
+            "numerator": str(self.numerator),
+            "denominator": str(self.denominator),
             "lower_bound": str(self.lower_bound),
             "numerator_exact": self.numerator_exact,
             "denominator_exact": self.denominator_exact,
@@ -338,7 +338,7 @@ def cascade_vector(start: int, nblocks: int, scale: Fraction = Fraction(1)) -> F
     for _ in range(nblocks):
         blocks.append((a, 2 * a - 1, scale * Fraction(1, a)))
         a *= 2
-    return FiniteVector.from_blocks(blocks)
+    return FiniteVector(blocks)
 
 
 def cascade_stack(first_start: int, first_blocks: int, second_blocks: int,
@@ -374,9 +374,9 @@ def _candidate_stream(seed: int, extra: list[FiniteVector] | None):
         yield from extra
     yield FiniteVector.basis(1)
     for m in range(2, 7):
-        yield normalize_l1(FiniteVector.from_blocks([(1, m, Fraction(1))]))
+        yield normalize_l1(FiniteVector([(1, m, Fraction(1))]))
     for m in (2, 3, 5, 8, 13):
-        yield FiniteVector.from_blocks([(m, 2 * m - 1, Fraction(1, m))])
+        yield FiniteVector([(m, 2 * m - 1, Fraction(1, m))])
     for n in (2, 3, 4):
         yield base_witness(n).sum
     for nblocks in (3, 4, 5, 6):

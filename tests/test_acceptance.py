@@ -33,7 +33,7 @@ from tsirnorm.geometry import (
     stability_gap,
     stability_sign_exact,
 )
-from tsirnorm.phidsl import EvalContext, approx_realizer, eval_phi, mpv, parse_phi, print_phi
+from tsirnorm.phidsl import EvalContext, approx_realizer, eval_phi, mpv, parse_phi
 from tsirnorm.witnesses import SearchBudget, inductive_witness, ratio_search
 
 from test_phidsl import exact_ctx, mpv_oracle, random_expr
@@ -207,7 +207,7 @@ def test_criterion_7_dsl_suite(capsys):
     realized = 0
     for _ in range(500):
         expr = random_expr(rng, 5)
-        if parse_phi(print_phi(expr)) != expr:
+        if parse_phi(str(expr)) != expr:
             ok = False
         value = mpv(expr)
         if value != mpv_oracle(expr):

@@ -112,7 +112,9 @@ class TestNorm:
         (("--spec", "iterate:3", WIDE_BLOCK), "size-limit", "1"),
         (("--spec", "tsirelson", WIDE_BLOCK), "size-limit", "1"),
         (("--spec", "tsirelson", "--budget", "5", "2:1,3:1,4:1,5:1"), "budget", "3/2"),
-    ], ids=["level2-wide", "level3-wide", "limit-wide", "limit-budget"])
+        # The literal rule's bound is the sup alone.
+        (("--spec", "iterate:4", "--rule", "paper", "--budget", "5", "30..89:1"), "budget", "1"),
+    ], ids=["level2-wide", "level3-wide", "limit-wide", "limit-budget", "paper-budget"])
     def test_refusal_reports_certified_bound(self, capsys, argv, reason, lower):
         code, out, _ = run(capsys, "norm", *argv, "--json")
         refused = json.loads(out)["refused"]
@@ -144,6 +146,11 @@ class TestRatio:
     def test_certificate_mode(self, capsys):
         code, out, _ = run(capsys, "ratio", "--k", "1", "--n", "4")
         assert code == 0 and out.strip() == "2"
+
+    def test_both_modes_are_an_input_error(self, capsys):
+        code, out, err = run(capsys, "ratio", "--k", "1", "--n", "4",
+                             "--num", "iterate:2", "--den", "iterate:1")
+        assert (code, out, err) == (2, "", "input error: give either --k/--n or --num/--den\n")
 
     def test_search_mode(self, capsys):
         code, out, _ = run(capsys, "ratio", "--num", "l1", "--den", "sup",
@@ -192,6 +199,21 @@ class TestPhi:
         code, out, _ = run(capsys, "phi", "eval", "phi(M)", "--norm", norm, "--target", target,
                            "--variant", "logistic", "--pool", "1..4:1", "--json")
         assert code == 0 and json.loads(out)["value"] == {"value": value, "tag": tag}
+
+    def test_eval_defaults_to_the_limit_norm(self, capsys):
+        # Without --norm the registry holds M=tsirelson, which is 1 on the pool's t_1.
+        code, out, _ = run(capsys, "phi", "eval", "phi(M)", "--target", "l1")
+        assert code == 0 and out.strip() == "1"
+
+    def test_norm_without_a_spec_is_an_input_error(self, capsys):
+        code, _, err = run(capsys, "phi", "eval", "phi(M)", "--norm", "M")
+        assert code == 2 and "--norm needs id=SPEC" in err
+
+    def test_eval_at_a_distance_past_the_largest_float(self, capsys):
+        pool = "1..1" + "0" * 310 + ":1"  # l1/sup is 10**310 on one flat block
+        code, out, _ = run(capsys, "phi", "eval", "phi(M)", "--norm", "M=l1", "--target", "sup",
+                           "--variant", "logistic", "--pool", pool)
+        assert code == 0 and 0 < float(out) < 1
 
     def test_realize(self, capsys):
         code, out, _ = run(capsys, "phi", "realize", "(phi(M)&phi(M))",
@@ -270,6 +292,8 @@ class TestRunner:
         ("probe", "1/2", "--rule", "paper"),
         ("oracle", "--level", "1", "3:1", "--budget", "5"),
         ("phi", "eval", "phi(M)", "--budget", "5"),
+        ("phi", "mpv", "1", "--variant", "bogus"),
+        ("phi", "parse", "1", "--target", "l1"),
         ("norm", "--spec", "l1", "3:1", "--seed", "3"),
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_option_the_command_does_not_read_is_rejected(self, capsys, argv):
@@ -277,8 +301,9 @@ class TestRunner:
             main(list(argv))
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"usage: tsirnorm {argv[0]} [-h]")
-        assert (f"tsirnorm {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}"
+        prog = " ".join(argv[:2] if argv[0] == "phi" else argv[:1])  # each phi mode is a command
+        assert err.startswith(f"usage: tsirnorm {prog} [-h]")
+        assert (f"tsirnorm {prog}: error: unrecognized arguments: {' '.join(argv[-2:])}"
                 in err)
 
     @pytest.mark.parametrize("argv", [

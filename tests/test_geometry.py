@@ -9,7 +9,6 @@ from tsirnorm.geometry import (
     default_matrix_pool,
     distance_lower,
     order_property_matrix,
-    phi_of,
     stability_gap,
     stability_sign_exact,
 )
@@ -18,7 +17,7 @@ from conftest import random_vector
 
 
 def flat(m):
-    return FiniteVector.from_blocks([(1, m, F(1, m))])
+    return FiniteVector([(1, m, F(1, m))])
 
 
 class TestDistance:
@@ -63,16 +62,16 @@ class TestDistance:
             assert joined <= single
 
 
+def phi(m, n, variant, pool):
+    return variant.transform(distance_lower(m, n, pool, variant.default_sided).value)
+
+
 class TestPhi:
     def test_same_norm_similarity_one(self):
-        est = phi_of(Iterate(1), Iterate(1), PhiVariant.SIMILARITY,
-                     [FiniteVector.basis(1)])
-        assert est.value == 1.0 and est.bound_direction == "upper"
+        assert phi(Iterate(1), Iterate(1), PhiVariant.SIMILARITY, [FiniteVector.basis(1)]) == 1.0
 
     def test_logistic_at_one_is_zero(self):
-        est = phi_of(Iterate(1), Iterate(1), PhiVariant.LOGISTIC,
-                     [FiniteVector.basis(1)])
-        assert est.value == 0.0 and est.bound_direction == "lower"
+        assert phi(Iterate(1), Iterate(1), PhiVariant.LOGISTIC, [FiniteVector.basis(1)]) == 0.0
 
     def test_infinity_endpoints(self):
         assert PhiVariant.LOGISTIC.transform(None) == 1.0
@@ -90,10 +89,17 @@ class TestPhi:
         assert PhiVariant.SIMILARITY.transform(F(4)) == 1 - inside
 
     def test_pool_below_one_gives_the_floor(self):
-        # sup/l1 on a flat block is 1/4: phi_of takes the floor, not an error.
-        est = phi_of(Sup(), Ell1(), PhiVariant.LOGISTIC, [flat(4)])
-        assert est.d_estimate.value == F(1, 4)
-        assert est.value == 0 and isinstance(est.value, F)
+        # sup/l1 on a flat block is 1/4: the transform takes the floor, not an error.
+        assert distance_lower(Sup(), Ell1(), [flat(4)]).value == F(1, 4)
+        value = phi(Sup(), Ell1(), PhiVariant.LOGISTIC, [flat(4)])
+        assert value == 0 and isinstance(value, F)
+
+    def test_distances_past_the_largest_float(self):
+        # Neither distance converts to a float; both logs still do.
+        third, whole = (PhiVariant.LOGISTIC.transform(d) for d in (F(10**310, 3), F(10**310)))
+        for value in (third, whole):
+            assert isinstance(value, float) and 0 < value < 1
+        assert third < whole
 
     def test_range_and_monotonicity(self):
         values = [F(1), F(9, 8), F(2), F(100), None]

@@ -54,8 +54,8 @@ class TestSchedule:
 class TestBaseWitness:
     def test_n2_construction(self):
         w = base_witness(2)
-        assert w.parts[0] == FiniteVector.from_blocks([(2, 3, F(1, 2))])
-        assert w.parts[1] == FiniteVector.from_blocks([(7, 13, F(1, 7))])
+        assert w.parts[0] == FiniteVector([(2, 3, F(1, 2))])
+        assert w.parts[1] == FiniteVector([(7, 13, F(1, 7))])
         assert w.verified
         by_name = {line.name: line for line in w.certificate}
         assert by_name["|x|_2"].left == F(1, 2)
