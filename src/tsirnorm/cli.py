@@ -53,8 +53,23 @@ EXIT_REFUSED = 3
 # output, verified); ``main`` adds command, seconds and engine_stats, to a
 # refusal's fields as well.
 
+# Options that only some modes of a command read default to None; each is
+# resolved where it is read, and a mode that does not read it refuses it.
+
+def _rule_of(args) -> AdmissibilityRule:
+    return args.rule or AdmissibilityRule.FIGIEL_JOHNSON
+
+
 def _search_budget(args) -> SearchBudget:
-    return SearchBudget(args.max_support, args.max_candidates)
+    given = {name: getattr(args, name) for name in ("max_support", "max_candidates")
+             if getattr(args, name) is not None}
+    return SearchBudget(**given)
+
+
+def _refuse_unread(args, mode: str, *names: str) -> None:
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{mode} takes no {', '.join(given)}")
 
 
 def _exact(x, value) -> dict:
@@ -63,14 +78,14 @@ def _exact(x, value) -> dict:
 
 def cmd_norm(args, session):
     x = parse_vector(args.vector)
-    value = norm_eval(parse_normspec(args.spec, args.rule), x, session)
+    value = norm_eval(parse_normspec(args.spec, _rule_of(args)), x, session)
     return {"spec": args.spec, **_exact(x, value)}, str(value), True
 
 
 def cmd_oracle(args, session):
     x = parse_vector(args.vector)
     k = None if args.level == "limit" else int(args.level)
-    value = brute_force_norm(x, k, args.rule)
+    value = brute_force_norm(x, k, _rule_of(args))
     return {"level": args.level, **_exact(x, value)}, str(value), True
 
 
@@ -90,25 +105,26 @@ def cmd_ratio(args, session):
             raise ValueError("give either --k/--n or --num/--den")
         if not (args.num and args.den):
             raise ValueError("--num and --den must be given together")
-        result = ratio_search(parse_normspec(args.num, args.rule),
-                              parse_normspec(args.den, args.rule),
-                              _search_budget(args), seed=args.seed,
+        result = ratio_search(parse_normspec(args.num, _rule_of(args)),
+                              parse_normspec(args.den, _rule_of(args)),
+                              _search_budget(args), seed=args.seed or 0,
                               session=session)
     else:
         if args.k is None or args.n is None:
             raise ValueError("give either --k/--n or --num/--den")
+        _refuse_unread(args, "ratio --k/--n", "rule", "seed", "max_support", "max_candidates")
         result = ratio_certificate(args.k, args.n, session)
     return result.to_report(), str(result.lower_bound), True
 
 
-def _matrix(args, session):
-    return order_property_matrix(args.levels, budget=_search_budget(args),
-                                 rule=args.rule, session=session)
+def _matrix(args, levels, session):
+    return order_property_matrix(levels, budget=_search_budget(args),
+                                 rule=_rule_of(args), session=session)
 
 
 def cmd_matrix(args, session):
-    matrix = _matrix(args, session)
     variant = PhiVariant.parse(args.variant)
+    matrix = _matrix(args, args.levels, session)
     size = matrix.max_level + 1
     plain = "\n".join(
         " ".join(str(matrix.d_value(num, den)) for den in range(size))
@@ -122,13 +138,15 @@ def cmd_matrix(args, session):
 def cmd_stability(args, session):
     variant = PhiVariant.parse(args.variant)
     if args.matrix:
+        _refuse_unread(args, "stability --matrix",
+                       "levels", "rule", "budget", "max_support", "max_candidates")
         with open(args.matrix) as fh:
             matrix = json.load(fh)
         if not isinstance(matrix, list):
             raise ValueError("matrix file must hold a JSON array of rows")
         result = stability_gap([[float(v) for v in row] for row in matrix])
         return result.to_report(), str(result.gap), True
-    grid = _matrix(args, session)
+    grid = _matrix(args, 4 if args.levels is None else args.levels, session)
     result = stability_gap(grid.phi_matrix_for_stability(variant))
     sign = stability_sign_exact(grid.d_matrix_for_stability(), variant)
     return ({**result.to_report(), "exact_sign": sign},
@@ -141,9 +159,9 @@ def _phi_context(args) -> EvalContext:
         if "=" not in item:
             raise ValueError(f"--norm needs id=SPEC, got {item!r}")
         name, spec_text = item.split("=", 1)
-        registry[name.strip()] = parse_normspec(spec_text, args.rule)
+        registry[name.strip()] = parse_normspec(spec_text, _rule_of(args))
     if not registry:
-        registry = {"M": parse_normspec("tsirelson", args.rule)}
+        registry = {"M": parse_normspec("tsirelson", _rule_of(args))}
     pool = [parse_vector(v) for v in args.pool or []]
     if not pool:
         pool = [parse_vector("1:1")]
@@ -162,7 +180,7 @@ def cmd_phi_mpv(args, session):
 
 def cmd_phi_eval(args, session):
     expr, ctx = parse_phi(args.expr), _phi_context(args)
-    value = eval_phi(expr, parse_normspec(args.target, args.rule), ctx, session)
+    value = eval_phi(expr, parse_normspec(args.target, _rule_of(args)), ctx, session)
     tag = "exact" if isinstance(value, Fraction) else "float-estimate"
     return {"value": {"value": str(value), "tag": tag}}, str(value), True
 
@@ -191,8 +209,7 @@ def non_negative_int(text: str) -> int:
 
 
 def _rule(p):
-    p.add_argument("--rule", type=AdmissibilityRule.parse,
-                   default=AdmissibilityRule.FIGIEL_JOHNSON,
+    p.add_argument("--rule", type=AdmissibilityRule.parse, default=None,
                    help="admissibility rule: fj (default) or paper")
 
 
@@ -202,14 +219,14 @@ def _budget(p):
 
 
 def _seed(p):
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=None,
                    help="seed for the randomised candidate pool")
 
 
 def _search(p):
-    p.add_argument("--max-support", type=non_negative_int, default=SearchBudget.max_support,
+    p.add_argument("--max-support", type=non_negative_int, default=None,
                    help="skip search candidates with more support points")
-    p.add_argument("--max-candidates", type=non_negative_int, default=SearchBudget.max_candidates,
+    p.add_argument("--max-candidates", type=non_negative_int, default=None,
                    help="number of search candidates drawn")
 
 
@@ -272,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("stability", cmd_stability, "stability gap of a phi matrix",
                 _rule, _budget, _search)
     p.add_argument("--matrix", default=None, help="JSON file with a float matrix")
-    p.add_argument("--levels", type=int, default=4,
+    p.add_argument("--levels", type=int, default=None,
                    help="build the iterate matrix up to this level instead")
     p.add_argument("--variant", default="logistic")
 

@@ -12,9 +12,11 @@ Two families of shortcuts:
   certifies: int32, int64, or Python ints in an object array, widened as
   the climb doubles them.  Each rung runs one max-plus partition kernel,
   ``_family_dp``, per right end; the requested level runs it once.  The
-  kernel works on the upper triangle in blocks of rows, one numpy add and
-  one row-wise max per block, and checks at every step that no sentinel
-  can meet another sentinel.
+  kernel runs its steps in groups: each group copies every block of table
+  rows once into a contiguous buffer, from the last block to the first,
+  and runs each step of the group on it as one numpy add and one row-wise
+  max.  It checks every cover it makes, so no sentinel can meet another
+  sentinel.
 
 Both Schreier maximisers are exact: the objective is piecewise linear in
 their scan parameter, and every breakpoint lands in the enumerated
@@ -48,11 +50,14 @@ __all__ = [
 # int64, the largest level-2 table that point counts admitted.
 TABLE_BYTES_LIMIT = 2600 * 2600 * 8
 
-# Rows per block of the max-plus step in _family_dp.  On the int32 tables of
-# the (2,2) witness (1459 and 1468 points, one 2-vCPU host), one kernel call
-# took 0.53-0.70 s at 64 rows, 0.55-0.59 s at 128, 0.61-0.78 s at 32 and
-# 0.73-0.89 s at 16; the same tables in int64 took 1.0-1.3 s at 32 or 64.
+# Rows per block and steps per group of _family_dp.  On the int32 tables of
+# the (2,2) witness (1459 and 1468 points, one 2-vCPU host, four alternating
+# rounds), one kernel call took 0.31-0.46 s at 32 steps and 64 rows,
+# 0.33-0.49 s at 16 steps, 0.32-0.40 s at 64 steps, 0.29-0.46 s at 128 rows
+# and 0.41-0.52 s at 32 rows; the same tables in int64 took 0.59-0.77 s at
+# 64 rows and 0.62-0.87 s at 128 (32 steps both).
 _DP_BLOCK_ROWS = 64
+_DP_GROUP_STEPS = 32
 
 
 def _sentinel(values: np.ndarray) -> int:
@@ -316,33 +321,65 @@ def _family_dp(table: np.ndarray, n: int, caps) -> np.ndarray:
     may have.  Returns fam[t] = best cover of points t..n-1 by
     min(caps[t], n-t) groups, in the table's denominator and dtype, or the
     sentinel where fewer than two groups are admissible.  Step r adds one
-    leading group to the (r-1)-group covers: cur[u] = max over c of
-    table[u, c] + prev[c+1], evaluated in row blocks so that each block is
-    one add and one max.  ``_dp_costs`` gives its transitions in closed form.
+    leading group to the (r-1)-group covers: cover_r[u] = max over c in
+    u..n-r of table[u, c] + cover_{r-1}[c+1], for every row u <= n-r.
+    ``_dp_costs`` gives its transitions in closed form.
+
+    Order: the steps run in groups of ``_DP_GROUP_STEPS``, and each group
+    walks the row blocks of ``_DP_BLOCK_ROWS`` rows from the last to the
+    first.  Step r on rows u0..u1-1 reads step r-1's covers at rows above
+    u0 only: the block's own rows, done one step earlier in this pass, and
+    the rows past it, done by the blocks below.  So each block's table rows
+    are copied once per group into one contiguous buffer, and every step of
+    the group is one add of a cover row and one row-wise max on it.
+
+    Padding: past its step's last row a cover holds a value below minus
+    every table value it can meet, so every step reads the block's full
+    width.  At a fixed width that is the sentinel (see ``_width``); Python
+    ints take one below minus the largest table value in the columns that
+    meet it.  A sentinel below the diagonal then only meets a real cover,
+    never negative, and a padded cover only a real value above it.
+
+    Guard: the one-group covers are checked once and every cover segment
+    as it is made, so no read cover is ever a sentinel and no sum leaves
+    the width.
     """
-    caps = np.array([min(p, n - t) for t, p in enumerate(caps[:n])], dtype=np.int64)
-    fam = np.full(n, _sentinel(table[:n, n - 1]), dtype=table.dtype)
-    rmax = int(caps.max(initial=0))
+    caps = [min(p, n - t) for t, p in enumerate(caps[:n])]
+    sentinel = _sentinel(table[:n, n - 1])
+    fam = np.full(n, sentinel, dtype=table.dtype)
+    rmax = max(caps, default=0)
     if rmax < 2:
         return fam
-    prev = table[:n, n - 1].copy()
-    cur = np.empty(n, dtype=table.dtype)
-    buf = np.empty((_DP_BLOCK_ROWS, n), dtype=table.dtype)
-    for r in range(2, rmax + 1):
-        hi = n - r  # last allowed end of the first group
-        # Every read of prev must be a real cover, and real covers are never
-        # negative.  A sentinel is then only ever added to a real value, so
-        # the sum stays inside the table's certified width (see _width) and
-        # below every real value.
-        if prev[1:hi + 2].min() < 0:
-            raise RuntimeError(f"sentinel in the {r - 1}-group covers of the partition DP")
-        for u0 in range(0, hi + 1, _DP_BLOCK_ROWS):
-            u1 = min(u0 + _DP_BLOCK_ROWS, hi + 1)
-            block = buf[:u1 - u0, :hi + 1 - u0]
-            np.add(table[u0:u1, u0:hi + 1], prev[u0 + 1:hi + 2], out=block)
-            block.max(axis=1, out=cur[u0:u1])
-        np.copyto(fam, cur, where=caps == r)
-        prev, cur = cur, prev
+    if table[1:n, n - 1].min() < 0:
+        raise RuntimeError("sentinel in the 1-group covers of the partition DP")
+    caps = np.array(caps, dtype=np.int64)
+    # covers[i] holds the (r0-1+i)-group covers of the group from step r0 on.
+    covers = np.empty((_DP_GROUP_STEPS + 1, n), dtype=table.dtype)
+    covers[0] = table[:n, n - 1]
+    rows = np.empty(_DP_BLOCK_ROWS * n, dtype=table.dtype)
+    sums = np.empty(_DP_BLOCK_ROWS * n, dtype=table.dtype)
+    for r0 in range(2, rmax + 1, _DP_GROUP_STEPS):
+        steps = min(_DP_GROUP_STEPS, rmax + 1 - r0)
+        top = n - r0 + 2  # step r0-1+i has its rows below top-i
+        covers[1:steps + 1] = (sentinel if table.dtype != object else
+                               -1 - table[:top - 1, top - steps:top - 1].max(initial=0))
+        for u0 in range((top - 2) // _DP_BLOCK_ROWS * _DP_BLOCK_ROWS, -1, -_DP_BLOCK_ROWS):
+            u1 = min(u0 + _DP_BLOCK_ROWS, top - 1)
+            width = top - 1 - u0
+            block = rows[:(u1 - u0) * width].reshape(u1 - u0, width)
+            total = sums[:(u1 - u0) * width].reshape(u1 - u0, width)
+            np.copyto(block, table[u0:u1, u0:top - 1])
+            for i in range(1, min(steps, width) + 1):
+                m = min(u1, top - i) - u0
+                np.add(block[:m], covers[i - 1, u0 + 1:top], out=total[:m])
+                cover = covers[i, u0:u0 + m]
+                total[:m].max(axis=1, out=cover)
+                if cover.min() < 0:
+                    raise RuntimeError(f"sentinel in the {r0 - 1 + i}-group covers "
+                                       "of the partition DP")
+        done = ((caps >= r0) & (caps < r0 + steps)).nonzero()[0]
+        fam[done] = covers[caps[done] - (r0 - 1), done]
+        covers[0] = covers[steps]
     return fam
 
 

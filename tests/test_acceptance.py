@@ -14,6 +14,7 @@ import pytest
 from tsirnorm import (
     AdmissibilityRule,
     Ell1,
+    EvalSession,
     FiniteVector,
     Iterate,
     Join,
@@ -88,13 +89,18 @@ def test_criterion_1_witness_reproduction(capsys):
 
 def test_criterion_2_inductive_step(capsys):
     started = time.perf_counter()
-    witness = inductive_witness(2, 2)
+    session = EvalSession()
+    witness = inductive_witness(2, 2, session=session)
     elapsed = time.perf_counter() - started
     lines = {line.name: line for line in witness.certificate}
     ok = witness.verified
     ok &= lines["|z_1|_2"].left == F(1, 2) and lines["|z_1|_2"].status == "exact"
     ok &= lines["|z_2|_2"].left == F(1, 2) and lines["|z_2|_2"].status == "exact"
     ok &= lines["|z|_2"].left <= 1 and lines["|z|_2"].status == "exact"
+    # The exact value and the kernel's work: a change to either the partition
+    # kernel or the dispatch that moves the transition count fails here.
+    ok &= lines["|z|_2"].left == F(83926, 113155)
+    ok &= session.stats["dp_transitions"] == 1_562_494_928
     ok &= lines["|z|_3"].left >= F(1, 2)
     ok &= lines["|z|_3"].status == "certified-lower-bound"
     ok &= elapsed <= 600

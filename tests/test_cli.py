@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tsirnorm import cli
 from tsirnorm.cli import main
 
 # 100 points i+2 : 1/p_i (p_i the i-th prime): the numerators over the
@@ -159,6 +160,16 @@ class TestRatio:
         num, _, den = out.strip().partition("/")
         assert int(num) >= 5 * int(den or 1)
 
+    @pytest.mark.parametrize("option", [
+        ("--rule", "paper"), ("--rule", "fj"), ("--seed", "5"), ("--seed", "0"),
+        ("--max-support", "3"), ("--max-candidates", "0"),
+    ], ids=lambda option: " ".join(option))
+    def test_certificate_mode_refuses_the_search_options(self, capsys, option):
+        # --k/--n reads only --budget; a search option is an input error,
+        # even at its default value.
+        code, out, err = run(capsys, "ratio", "--k", "1", "--n", "4", *option)
+        assert (code, out, err) == (2, "", f"input error: ratio --k/--n takes no {option[0]}\n")
+
 
 class TestMatrixStability:
     def test_matrix_upper_triangle(self, capsys):
@@ -175,6 +186,25 @@ class TestMatrixStability:
         path.write_text("[[0.25, 0.25], [0.25, 0.25]]")
         code, out, _ = run(capsys, "stability", "--matrix", str(path))
         assert code == 0 and float(out.strip()) == 0.0
+
+    @pytest.mark.parametrize("option", [
+        ("--levels", "9"), ("--levels", "4"), ("--rule", "paper"), ("--budget", "1"),
+        ("--max-support", "3"), ("--max-candidates", "3"),
+    ], ids=lambda option: " ".join(option))
+    def test_matrix_file_mode_refuses_the_grid_options(self, capsys, tmp_path, option):
+        path = tmp_path / "m.json"
+        path.write_text("[[0.25, 0.25], [0.25, 0.25]]")
+        code, out, err = run(capsys, "stability", "--matrix", str(path), *option)
+        want = f"input error: stability --matrix takes no {option[0]}\n"
+        assert (code, out, err) == (2, "", want)
+
+    def test_matrix_parses_the_variant_before_any_work(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the matrix was built")
+
+        monkeypatch.setattr(cli, "order_property_matrix", fail)
+        code, out, err = run(capsys, "matrix", "--levels", "4", "--variant", "bogus")
+        assert (code, out, err) == (2, "", "input error: unknown phi variant 'bogus'\n")
 
 
 class TestPhi:

@@ -374,6 +374,7 @@ class TestFastPathAgreement:
 
 
 WIDTHS = (np.int32, np.int64, object)
+GROUP, BLOCK = fastpaths._DP_GROUP_STEPS, fastpaths._DP_BLOCK_ROWS
 
 
 def per_row_family_dp(table, n, pos):
@@ -446,6 +447,16 @@ def random_group_table(rng, n, dtype):
     return table
 
 
+def assert_kernel_matches_per_row(table, n, caps):
+    """The kernel's values and the closed-form steps against the per-row loop."""
+    fam = fastpaths._family_dp(table, n, caps)
+    expected, steps = per_row_family_dp(table.tolist(), n, caps)
+    sentinel = fastpaths._sentinel(table[:n, n - 1])
+    assert fam.dtype == table.dtype
+    assert fam.tolist() == [sentinel if v is None else v for v in expected]
+    assert fastpaths._dp_costs(caps)[-1] == steps
+
+
 class TestFamilyKernel:
     # Each test runs on every table width.
     def test_sentinels(self):
@@ -460,13 +471,34 @@ class TestFamilyKernel:
     def test_matches_per_row_recurrence(self, rng, n):
         for dtype in WIDTHS:
             for pos in ([rng.randint(1, n + 2) for _ in range(n)], list(range(n, 2 * n))):
-                table = random_group_table(rng, n, dtype)
-                fam = fastpaths._family_dp(table, n, pos)
-                expected, steps = per_row_family_dp(table.tolist(), n, pos)
-                sentinel = fastpaths._sentinel(table[:n, n - 1])
-                assert fam.dtype == dtype
-                assert fam.tolist() == [sentinel if v is None else v for v in expected]
-                assert fastpaths._dp_costs(pos)[-1] == steps
+                assert_kernel_matches_per_row(random_group_table(rng, n, dtype), n, pos)
+
+    @pytest.mark.parametrize("n, rmax", [
+        (GROUP, GROUP), (GROUP + 1, GROUP + 1), (GROUP + 2, GROUP + 2),
+        (2 * GROUP + 2, 2 * GROUP + 1), (BLOCK, GROUP + 1), (BLOCK + 1, GROUP + 2),
+        (BLOCK + 2, GROUP), (BLOCK + 2, BLOCK + 2), (2 * BLOCK + 2, 2 * GROUP + 2),
+        (2 * BLOCK + 2, GROUP + GROUP // 2), (2 * BLOCK + 2, 2 * BLOCK + 2),
+    ])
+    def test_grouped_kernel_matches_per_row_recurrence(self, rng, n, rmax):
+        # The first step has n - 1 rows and there are rmax - 1 steps: both
+        # fall on either side of one and two row blocks and step groups.
+        # Rows past n - rmax mix forced caps (past their point's window) with
+        # smaller ones; one row before them reaches rmax without being forced.
+        caps = [rng.randint(0, rmax) for _ in range(n - rmax)]
+        caps += [n - t + rng.randint(0, 2) if rng.random() < 0.5 else rng.randint(0, n - t)
+                 for t in range(n - rmax, n)]
+        if n > rmax:
+            caps[rng.randrange(n - rmax)] = rmax
+        else:
+            caps[0] = n
+        assert max(min(c, n - t) for t, c in enumerate(caps)) == rmax
+        for dtype in WIDTHS:
+            # The second table keeps its last column near zero, far below the
+            # rest: the padding must still lose to every real value.
+            low_last_column = random_group_table(rng, n, dtype)
+            low_last_column[:, n - 1] //= 10 ** 6
+            for table in (random_group_table(rng, n, dtype), low_last_column):
+                assert_kernel_matches_per_row(table, n, caps)
 
     def test_closed_form_cost_matches_per_row_steps(self, rng):
         # A rung runs the kernel on points 0..b for every right end b, the
