@@ -136,16 +136,16 @@ def cmd_matrix(args, session):
 
 
 def cmd_stability(args, session):
-    variant = PhiVariant.parse(args.variant)
     if args.matrix:
         _refuse_unread(args, "stability --matrix",
-                       "levels", "rule", "budget", "max_support", "max_candidates")
+                       "levels", "variant", "rule", "budget", "max_support", "max_candidates")
         with open(args.matrix) as fh:
             matrix = json.load(fh)
         if not isinstance(matrix, list):
             raise ValueError("matrix file must hold a JSON array of rows")
         result = stability_gap([[float(v) for v in row] for row in matrix])
         return result.to_report(), str(result.gap), True
+    variant = PhiVariant.parse("logistic" if args.variant is None else args.variant)
     grid = _matrix(args, 4 if args.levels is None else args.levels, session)
     result = stability_gap(grid.phi_matrix_for_stability(variant))
     sign = stability_sign_exact(grid.d_matrix_for_stability(), variant)
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None, help="JSON file with a float matrix")
     p.add_argument("--levels", type=int, default=None,
                    help="build the iterate matrix up to this level instead")
-    p.add_argument("--variant", default="logistic")
+    p.add_argument("--variant", default=None)
 
     phi = subs.add_parser("phi", help="phi-polynomial DSL").add_subparsers(
         dest="phi_command", required=True)

@@ -6,13 +6,18 @@ subintervals.  Values are Python-int numerators over one common denominator
 support size): a window's value is halved at most once per strictly smaller
 nested window, so every level and the limit stay integral over ``D``.  Only
 the public methods build ``Fraction`` values.  The search space is reduced to
-families of consecutive point groups covering a suffix of the window; the
-reduction leans on 1-unconditionality and suppression, which the exhaustive
-oracle re-checks independently in the test suite.
+families of consecutive point groups covering a suffix [t..b] of the window
+[a..b]; the reduction leans on 1-unconditionality and suppression, which the
+exhaustive oracle re-checks independently in the test suite.  A start's group
+cap and best cover depend on t, b and the level, not on a, so a window's
+family value depends on a only through its slice of starts, a..b-1: the
+session memo keeps one list per (b, level), entry i the best value of the
+starts b-1-i..b-1, filled downward as smaller left ends ask for it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
@@ -44,8 +49,9 @@ class SmallEvaluator:
         # fixes the denominator) so a session shared across related
         # evaluations never mixes values or scales.
         fingerprint = (tuple(pos), tuple(w), rule.value)
-        self._value_memo = self.session.memo.setdefault(("values", fingerprint), {})
-        self._parts_memo = self.session.memo.setdefault(("parts", fingerprint), {})
+        self._value_memo, self._parts_memo, self._start_memo = self.session.memo.setdefault(
+            fingerprint, ({}, {}, {}))
+        self._first_start = {}
 
     # -- public -----------------------------------------------------------
 
@@ -97,46 +103,55 @@ class SmallEvaluator:
         """Half the best admissible-family sum over the window [a..b].
 
         Families are consecutive point groups covering [t..b] for some start
-        t, valued at level ``group_key`` (None: the limit); single-group
-        families never set the maximum and are skipped.
+        t < b (single-group families never set the maximum), valued at level
+        ``group_key`` (None: the limit).  The window charges one family per
+        start it takes, computed or read from the (b, key) list.
         """
-        best = 0
-        for t in range(a, b + 1):
-            count = b - t + 1
-            if self.rule is AdmissibilityRule.FIGIEL_JOHNSON or group_key is None:
-                cap = min(self.pos[t], count)
-            else:
-                # step k+1 (k = group_key) admits exactly k sets; after discarding
-                # sets that miss the support, at most k groups with min >= k remain.
-                if self.pos[t] < group_key:
-                    continue
-                cap = min(group_key, count)
-            if cap < 2:
-                continue
-            self.session.charge(1, "families_enumerated")
-            candidate = self._parts(t, cap, b, group_key)
-            if candidate > best:
-                best = candidate
-        if best & 1:
-            raise RuntimeError(f"odd family numerator {best} over {self.denominator}")
-        return best >> 1
+        literal = group_key is not None and self.rule is AdmissibilityRule.PAPER_LITERAL
+        first = self._first_start.get(group_key)
+        if first is None:
+            # The cap must reach 2: pos[t] >= 2, or under the literal rule pos[t] >= k >= 2
+            # (step k+1, k = group_key, admits exactly k sets; after discarding sets
+            # that miss the support, at most k groups with min >= k remain).
+            least = group_key if literal else 2
+            first = self.s if least < 2 else bisect_left(self.pos, least)
+            self._first_start[group_key] = first
+        count = b - max(a, first)
+        if count <= 0:
+            return 0
+        self.session.charge(count, "families_enumerated")
+        best = self._start_memo.setdefault((b, group_key), [])
+        while len(best) < count:
+            t = b - 1 - len(best)
+            cap = min(group_key if literal else self.pos[t], b - t + 1)
+            value = self._parts(t, cap, b, group_key)
+            best.append(max(value, best[-1]) if best else value)
+        if best[count - 1] & 1:
+            raise RuntimeError(f"odd family numerator {best[count - 1]} over {self.denominator}")
+        return best[count - 1] >> 1
 
     def _parts(self, u: int, r: int, b: int, group_key) -> int:
         """Best sum of group values over partitions of [u..b] into r groups."""
         if r == 1:
             return self._value(u, b, group_key)
         memo_key = (u, r, b, group_key)
-        cached = self._parts_memo.get(memo_key)
+        values, parts = self._value_memo, self._parts_memo
+        cached = parts.get(memo_key)
         if cached is not None:
             return cached
         best = None
         last_start = b - r + 1
         self.session.charge(last_start - u + 1, "dp_transitions")
         for c in range(u, last_start + 1):
-            head = self._value(u, c, group_key)
-            tail = self._parts(c + 1, r - 1, b, group_key)
+            head = values.get((u, c, group_key))
+            if head is None:
+                head = self._value(u, c, group_key)
+            tail = (values.get((c + 1, b, group_key)) if r == 2
+                    else parts.get((c + 1, r - 1, b, group_key)))
+            if tail is None:
+                tail = self._parts(c + 1, r - 1, b, group_key)
             total = head + tail
             if best is None or total > best:
                 best = total
-        self._parts_memo[memo_key] = best
+        parts[memo_key] = best
         return best

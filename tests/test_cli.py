@@ -187,9 +187,16 @@ class TestMatrixStability:
         code, out, _ = run(capsys, "stability", "--matrix", str(path))
         assert code == 0 and float(out.strip()) == 0.0
 
+    def test_matrix_file_gap(self, capsys, tmp_path):
+        # The gap of a float matrix has no phi variant: this mode refuses
+        # --variant (below) and prints the gap of the file alone.
+        path = tmp_path / "m.json"
+        path.write_text("[[0.1, 0.7, 0.3], [0.4, 0.2, 0.9], [0.5, 0.05, 0.6]]")
+        assert run(capsys, "stability", "--matrix", str(path)) == (0, "0.85\n", "")
+
     @pytest.mark.parametrize("option", [
         ("--levels", "9"), ("--levels", "4"), ("--rule", "paper"), ("--budget", "1"),
-        ("--max-support", "3"), ("--max-candidates", "3"),
+        ("--max-support", "3"), ("--max-candidates", "3"), ("--variant", "logistic"),
     ], ids=lambda option: " ".join(option))
     def test_matrix_file_mode_refuses_the_grid_options(self, capsys, tmp_path, option):
         path = tmp_path / "m.json"

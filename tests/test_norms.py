@@ -159,6 +159,47 @@ def fraction_oracle(x, k, rule):
     return level(points, k)
 
 
+def engine_value(pos, w, rule, k, session):
+    evaluator = SmallEvaluator(list(pos), list(w), rule, session)
+    return evaluator.limit() if k is None else evaluator.iterate(k)
+
+
+def engine_work(session):
+    """(ranges_evaluated, dp_transitions, families_enumerated); every unit weighs 1."""
+    stats = session.stats
+    assert stats["tables_built"] == 0 and session.used == sum(stats.values())
+    return stats["ranges_evaluated"], stats["dp_transitions"], stats["families_enumerated"]
+
+
+def engine_support(size):
+    rng = random.Random(size)
+    pos = sorted(rng.sample(range(1, 2 * size + 1), size))
+    return pos, [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in pos]
+
+
+# The engine's work on engine_support(size) at levels 2, 3, 4 and the limit,
+# each on a fresh session.  Pinned: how the engine reuses its memo must never
+# change what it charges.
+ENGINE_WORK = {
+    (8, FJ): [(56, 87, 58), (84, 148, 114), (112, 209, 170), (28, 61, 56)],
+    (8, PL): [(3, 0, 0), (85, 21, 6), (104, 57, 33), (136, 78, 50)],
+    (11, FJ): [(105, 255, 130), (157, 400, 250), (209, 545, 370), (52, 145, 120)],
+    (11, PL): [(3, 0, 0), (199, 55, 10), (263, 301, 212), (559, 1202, 778)],
+    (14, FJ): [(207, 1103, 444), (310, 1975, 875), (413, 2847, 1306), (103, 872, 431)],
+    (14, PL): [(3, 0, 0), (316, 91, 13), (419, 599, 444), (899, 2278, 1500)],
+    (17, FJ): [(263, 1927, 628), (394, 3445, 1241), (525, 4963, 1854), (131, 1518, 613)],
+    (17, PL): [(3, 0, 0), (409, 120, 15), (543, 876, 667), (1306, 4805, 2890)],
+    (20, FJ): [(418, 4299, 1300), (628, 7914, 2630), (838, 11529, 3960), (210, 3615, 1330)],
+    (20, PL): [(3, 0, 0), (631, 190, 19), (819, 1448, 1125), (2075, 9712, 5549)],
+    (24, FJ): [(543, 7694, 1866), (819, 14250, 3890), (1095, 20806, 5914), (276, 6556, 2024)],
+    (24, PL): [(3, 0, 0), (829, 253, 22), (1080, 2193, 1753), (3196, 23340, 11655)],
+}
+# One session shared by all of them, in the order of the test: its running
+# totals after each support.
+ENGINE_SHARED_WORK = [(276, 348, 276), (1096, 2240, 1544), (2511, 8237, 4781),
+                      (4473, 19523, 10138), (7596, 44379, 20977), (12163, 95081, 40570)]
+
+
 class TestIntegerNumerators:
     def test_oracle_matches_fraction_oracle(self):
         rng = random.Random(9)
@@ -197,6 +238,44 @@ class TestIntegerNumerators:
                 for k in range(5):
                     fresh = SmallEvaluator(list(pos), list(w), rule).iterate(k)
                     assert SmallEvaluator(list(pos), list(w), rule, shared).iterate(k) == fresh
+
+    def test_shared_session_in_random_order(self, rng):
+        # Start lists are filled by windows of different left ends and read
+        # again by later calls, so any order of calls on one session gives
+        # the fresh session's value and the oracle's.
+        for _ in range(40):
+            x = random_vector(rng, max_support=8, max_index=16)
+            pos, w = zip(*((i, abs(v)) for i, v in x.entries()))
+            for rule in (FJ, PL):
+                levels = [None, *range(7)]
+                rng.shuffle(levels)
+                shared = EvalSession()
+                for k in levels:
+                    value = engine_value(pos, w, rule, k, shared)
+                    assert value == engine_value(pos, w, rule, k, EvalSession()), (x, rule, k)
+                    assert value == brute_force_norm(x, k, rule), (x, rule, k)
+
+    def test_witness_window_work_units(self):
+        # The 9-point window that the (2, 2) witness evaluates with the engine.
+        pos, w = zip(*parse_vector("2..3:7/15,7..13:2/15").entries())
+        session = EvalSession()
+        assert engine_value(pos, w, FJ, 2, session) == F(1, 2)
+        assert engine_work(session) == (90, 169, 122) and session.used == 381
+
+    def test_work_units_are_pinned(self):
+        # A window charges one family per start it takes, computed or read.
+        shared = EvalSession()
+        for size, totals in zip((8, 11, 14, 17, 20, 24), ENGINE_SHARED_WORK):
+            pos, w = engine_support(size)
+            for rule in (FJ, PL):
+                values = {}
+                for k, expected in zip((2, 3, 4, None), ENGINE_WORK[size, rule]):
+                    session = EvalSession()
+                    values[k] = engine_value(pos, w, rule, k, session)
+                    assert engine_work(session) == expected, (size, rule, k)
+                for k in (None, 2, 4, 3):
+                    assert engine_value(pos, w, rule, k, shared) == values[k], (size, rule, k)
+            assert engine_work(shared) == totals, size
 
     def test_families_enumerated_is_charged(self, rng):
         for _ in range(20):
