@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -139,10 +140,15 @@ def cmd_stability(args, session):
     if args.matrix:
         _refuse_unread(args, "stability --matrix",
                        "levels", "variant", "rule", "budget", "max_support", "max_candidates")
-        with open(args.matrix) as fh:
-            matrix = json.load(fh)
-        if not isinstance(matrix, list):
+        try:
+            with open(args.matrix) as fh:
+                matrix = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read matrix file: {exc}") from exc
+        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
             raise ValueError("matrix file must hold a JSON array of rows")
+        if not all(type(v) in (int, float) and math.isfinite(v) for row in matrix for v in row):
+            raise ValueError("matrix entries must be finite numbers")
         result = stability_gap([[float(v) for v in row] for row in matrix])
         return result.to_report(), str(result.gap), True
     variant = PhiVariant.parse("logistic" if args.variant is None else args.variant)

@@ -131,14 +131,13 @@ class SmallEvaluator:
         return best[count - 1] >> 1
 
     def _parts(self, u: int, r: int, b: int, group_key) -> int:
-        """Best sum of group values over partitions of [u..b] into r groups."""
+        """Best sum of group values over partitions of [u..b] into r groups.
+
+        Callers read memoised states themselves: r >= 2 arrives only on a miss.
+        """
         if r == 1:
             return self._value(u, b, group_key)
-        memo_key = (u, r, b, group_key)
         values, parts = self._value_memo, self._parts_memo
-        cached = parts.get(memo_key)
-        if cached is not None:
-            return cached
         best = None
         last_start = b - r + 1
         self.session.charge(last_start - u + 1, "dp_transitions")
@@ -153,5 +152,5 @@ class SmallEvaluator:
             total = head + tail
             if best is None or total > best:
                 best = total
-        parts[memo_key] = best
+        parts[(u, r, b, group_key)] = best
         return best

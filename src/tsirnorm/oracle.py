@@ -3,15 +3,15 @@
 Test-only reference: enumerates every admissible family of successive
 finite sets through their traces on the support (unions with holes and
 partial covers included), with none of the engine's interval reductions.
-Sets of support points are bitmasks.  A level-j value is a Python-int
-numerator over ``2**j * Q`` (``Q`` the lcm of the denominators) and the
-Figiel-Johnson limit one over ``2**s * Q`` (``s`` points); only the result
-is a ``Fraction``.  All tables live inside a single top-level call.
+Sets of support points are bitmasks.  One climb serves every level and
+both limits, on Python-int numerators over ``2**j * Q`` at level j (``Q``
+the lcm of the denominators); only the result is a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .rules import AdmissibilityRule
@@ -27,31 +27,18 @@ def brute_force_norm(x: FiniteVector, k: int | None, rule: AdmissibilityRule) ->
     if k is not None and k < 0:
         raise ValueError("iterate level must be >= 0")
     if x.support_size > ORACLE_SUPPORT_LIMIT:
-        raise ValueError(
-            f"oracle refuses support size {x.support_size} > {ORACLE_SUPPORT_LIMIT}"
-        )
+        raise ValueError(f"oracle refuses support size {x.support_size} > "
+                         f"{ORACLE_SUPPORT_LIMIT}")
     points = [(i, abs(v)) for i, v in x.entries()]
     if not points:
         return Fraction(0)
     q = lcm(*(v.denominator for _, v in points))
     num = [v.numerator * (q // v.denominator) for _, v in points]
-    index = [i for i, _ in points]
-    full = (1 << len(points)) - 1
-    if k is None:
-        if rule is AdmissibilityRule.FIGIEL_JOHNSON:
-            return Fraction(_limit_fj(index, num)[full], (1 << len(points)) * q)
-        # Constant once the step index passes the largest support index.
-        k = index[-1] + 1
-    return Fraction(_level(index, num, k, rule)[full], (1 << k) * q)
+    value, j = _climb([i for i, _ in points], num, k, rule)
+    return Fraction(value[-1], (1 << j) * q)
 
 
-def _subsets(mask: int):
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
-
-
+@cache
 def _chunkings(s: int) -> list[list[list[int]]]:
     """For every point set, all its splits into consecutive nonempty chunks."""
     table: list[list[list[int]]] = [[]]
@@ -65,60 +52,49 @@ def _chunkings(s: int) -> list[list[list[int]]]:
     return table
 
 
-def _sup(num, mask: int) -> int:
-    return max(v for i, v in enumerate(num) if mask >> i & 1)
+def _climb(index, num, k: int | None, rule: AdmissibilityRule) -> tuple[list[int], int]:
+    """Numerators over 2**j * Q of every point set at level j, and j.
 
-
-def _level(index, num, k: int, rule: AdmissibilityRule) -> list[int]:
-    """Level-k numerators over 2**k * Q of every point set, one level at a time."""
-    chunkings = _chunkings(len(num))
-    sets = range(1, len(chunkings))
-    value = [0] + [_sup(num, m) for m in sets]
-    for j in range(1, k + 1):
-        # best[sub]: the best family whose trace on the support is exactly sub.
-        best = [0] * len(value)
-        for sub in sets:
-            first_index = index[(sub & -sub).bit_length() - 1]
-            for chunks in chunkings[sub]:
-                if rule is AdmissibilityRule.FIGIEL_JOHNSON:
-                    if len(chunks) > first_index:
-                        continue
-                # Step j uses exactly j-1 sets; sets missing the support can
-                # always be parked above it, so any i <= j-1 traces with
-                # min >= j-1 are realisable.
-                elif len(chunks) > j - 1 or first_index < j - 1:
-                    continue
-                best[sub] = max(best[sub], sum(value[c] for c in chunks))
-        level = [0] + [max(2 * value[m], *(best[sub] for sub in _subsets(m)))
-                       for m in sets]
-        # Once j-1 >= s no count cap binds and options never grow from step
-        # to step, so a level that only doubles every value repeats forever.
-        if j > len(num) and level == [2 * v for v in value]:
-            return [v << (k - j) for v in level]
-        value = level
-    return value
-
-
-def _limit_fj(index, num) -> list[int]:
-    """Limit numerators over 2**s * Q of every point set, smaller sets first.
-
-    A set's families split it into strictly smaller sets, which have smaller
-    masks; each set of p points is halved at most p - 1 times.
+    A step scores every chunking of every set, then the best over subsets one
+    point at a time.  j is k, or a level the next step only doubles where that
+    is the limit: under Figiel-Johnson (the step does not depend on j), and
+    under the literal rule once j > s (no count cap binds, options only shrink).
     """
     s = len(num)
+    fj = rule is AdmissibilityRule.FIGIEL_JOHNSON
+    # Figiel-Johnson settles p points by level p - 1; no literal family passes the last index.
+    last = s + 1 if fj else index[-1] + 2
     chunkings = _chunkings(s)
-    value = [0] * len(chunkings)
-    for m in range(1, len(chunkings)):
-        best = 0
-        for sub in _subsets(m):
-            first_index = index[(sub & -sub).bit_length() - 1]
+    # Level 0: the sup of a set is that of the set less its lowest point, or that point.
+    value = [0]
+    for m in range(1, 1 << s):
+        value.append(max(num[(m & -m).bit_length() - 1], value[m & (m - 1)]))
+    j = 0
+    while j != k:
+        j += 1
+        if j > last:
+            raise RuntimeError(f"oracle climb passed level {last} without a fixed point")
+        # best[sub]: the best family whose trace on the support is exactly sub.
+        best = [0]
+        for sub in range(1, len(value)):
+            first = index[(sub & -sub).bit_length() - 1]
+            # Literal step j: j-1 sets, parked above the support if they miss
+            # it, so any i <= j-1 traces with min >= j-1 are realisable.
+            most = first if fj else j - 1 if first >= j - 1 else 0
+            top = 0
             for chunks in chunkings[sub]:
-                if len(chunks) > first_index or chunks == [m]:
-                    # The one-set full-trace family scores half the value
-                    # being defined; it can never set the maximum.
-                    continue
-                best = max(best, sum(value[c] for c in chunks))
-        if best & 1:
-            raise RuntimeError(f"odd family numerator {best} over 2**{s}")
-        value[m] = max(_sup(num, m) << s, best >> 1)
-    return value
+                if len(chunks) <= most:
+                    total = 0
+                    for c in chunks:
+                        total += value[c]
+                    if total > top:
+                        top = total
+            best.append(top)
+        for bit in [1 << i for i in range(s)]:
+            for m in range(bit, len(value)):
+                if m & bit and best[m ^ bit] > best[m]:
+                    best[m] = best[m ^ bit]
+        if (fj or j > s) and all(b <= 2 * v for v, b in zip(value, best)):
+            return value, j - 1
+        value = [b if b > 2 * v else 2 * v for v, b in zip(value, best)]
+    return value, j

@@ -15,7 +15,8 @@ class BudgetExceededError(Exception):
 
     ``reason`` names the cause: ``budget`` (the work budget ran out) or
     ``size-limit`` (a table of the support passes the table memory limit at
-    its number width).
+    its number width, or a witness schedule's start passes the digits Python
+    converts to text).
 
     ``lower_bound`` is attached by the public evaluators in ``norms`` before
     the error leaves them; it is a true lower bound, never an approximation

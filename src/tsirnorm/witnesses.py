@@ -41,6 +41,11 @@ _FJ = AdmissibilityRule.FIGIEL_JOHNSON
 # Exhaustive re-verification of the first iterate is feasible up to here.
 _EXHAUSTIVE_MAXPOS = 60_000
 
+# Python's default limit on the digits of an int converted to text: a
+# schedule with a longer start could be built but never reported.
+_MAX_START_DIGITS = 4300
+_MAX_START = 10 ** _MAX_START_DIGITS
+
 
 # ---------------------------------------------------------------------------
 # Schedules
@@ -67,12 +72,19 @@ class Schedule:
 
 
 def schedule(n: int, start: int = 1) -> Schedule:
-    """Minimal schedule: m_1 = max(n, start, 2), then the least admissible step."""
+    """Minimal schedule: m_1 = max(n, start, 2), then the least admissible step.
+
+    Refused (``size-limit``) once a start passes ``_MAX_START_DIGITS`` digits.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     m = [max(n, start, 2)]
     for _ in range(n - 1):
         m.append(m[-1] * (2 * m[-1] - 1) + 1)
+        if m[-1] >= _MAX_START:
+            raise BudgetExceededError(
+                f"schedule of {n} parts refused: start {len(m)} passes "
+                f"{_MAX_START_DIGITS} digits", reason="size-limit")
     return Schedule(n, start, tuple(m))
 
 
@@ -448,17 +460,14 @@ class DichotomyEntry:
         }
 
 
-# Largest base-witness part count whose schedule integers stay desk-sized.
-_MAX_BASE_PARTS = 20
-
-
 def dichotomy_probe(targets: list[Fraction], budget: SearchBudget | None = None,
                     session: EvalSession | None = None) -> list[DichotomyEntry]:
     """Attempt certified growth ratios >= targets along increasing level pairs.
 
     Only the unbounded-growth alternative is ever certified; a miss is
     reported as not-achieved-within-budget, never as evidence of norm
-    equivalence.
+    equivalence.  A base witness whose schedule is refused for its size
+    leaves the target to the search.
     """
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise ValueError("targets must be increasing")
@@ -468,8 +477,12 @@ def dichotomy_probe(targets: list[Fraction], budget: SearchBudget | None = None,
         cert: CertifiedRatio | None = None
         if k_lo == 1:
             n = max(2, -(-4 * target.numerator // target.denominator))
-            if n <= _MAX_BASE_PARTS:
-                candidate = ratio_certificate(1, int(n), session)
+            try:
+                candidate = ratio_certificate(1, n, session)
+            except BudgetExceededError as exc:
+                if exc.reason != "size-limit":
+                    raise
+            else:
                 if candidate.lower_bound >= target:
                     cert = candidate
         if cert is None:

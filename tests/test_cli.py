@@ -5,6 +5,7 @@ import pytest
 
 from tsirnorm import cli
 from tsirnorm.cli import main
+from tsirnorm.witnesses import schedule
 
 # 100 points i+2 : 1/p_i (p_i the i-th prime): the numerators over the
 # common denominator pass int64, so the tables hold Python ints.
@@ -142,6 +143,22 @@ class TestWitness:
         code, _, err = run(capsys, "witness", "--k", "1", "--n", "1")
         assert code == 2 and ">= 2" in err
 
+    def test_twelve_parts_print_their_schedule(self, capsys):
+        code, out, _ = run(capsys, "witness", "--k", "1", "--n", "12", "--json")
+        report = json.loads(out)
+        assert code == 0 and report["verified"]
+        assert report["schedule"] == list(schedule(12).m)
+        assert len(str(report["schedule"][-1])) == 2809
+
+    @pytest.mark.parametrize("command", ["witness", "ratio"])
+    def test_start_past_printable_digits_is_refused(self, capsys, command):
+        # The 13th start of a 13-part schedule has 5763 digits, past the 4300
+        # that Python converts to text.
+        code, out, err = run(capsys, command, "--k", "1", "--n", "13")
+        assert (code, out) == (3, "")
+        assert err == ("refused (size-limit): schedule of 13 parts refused: "
+                       "start 13 passes 4300 digits\n")
+
 
 class TestRatio:
     def test_certificate_mode(self, capsys):
@@ -204,6 +221,19 @@ class TestMatrixStability:
         code, out, err = run(capsys, "stability", "--matrix", str(path), *option)
         want = f"input error: stability --matrix takes no {option[0]}\n"
         assert (code, out, err) == (2, "", want)
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read matrix file: "),
+        ("[1, 2]", "matrix file must hold a JSON array of rows\n"),
+        ("[[1, NaN], [3, 4]]", "matrix entries must be finite numbers\n"),
+        ("[[1, true], [3, 4]]", "matrix entries must be finite numbers\n"),
+    ], ids=["missing file", "rows not arrays", "nan entry", "boolean entry"])
+    def test_matrix_file_input_errors(self, capsys, tmp_path, content, message):
+        path = tmp_path / "m.json"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run(capsys, "stability", "--matrix", str(path))
+        assert (code, out) == (2, "") and err.startswith(f"input error: {message}")
 
     def test_matrix_parses_the_variant_before_any_work(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -293,6 +323,15 @@ class TestProbe:
         report = json.loads(out)
         assert code == 0 and [e["achieved"] for e in report["entries"]] == [True, True]
         assert report["engine_stats"]["dp_transitions"] > 0
+
+    def test_witness_target(self, capsys):
+        code, out, _ = run(capsys, "probe", "3")
+        assert (code, out) == (0, "target 3 levels (1, 2): achieved\n")
+
+    def test_witness_past_printable_digits_falls_back_to_the_search(self, capsys):
+        # Target 5 asks for a 20-part base witness, whose schedule is refused.
+        code, out, _ = run(capsys, "probe", "5")
+        assert (code, out) == (0, "target 5 levels (1, 2): not-achieved-within-budget\n")
 
 
 COUNTERS = {"ranges_evaluated", "dp_transitions", "tables_built", "families_enumerated"}

@@ -218,6 +218,22 @@ class TestIntegerNumerators:
             for k in (s + 1, s + 3, 30, None):
                 assert brute_force_norm(x, k, PL) == fraction_oracle(x, k, PL), (x, k)
 
+    def test_oracle_matches_engine_on_dense_supports(self):
+        # Seven or eight points, three of them at indices up to 5 and the
+        # rest up to 20: a family of more sets than a low point's index must
+        # start above it, so the oracle's subset maxima must drop each of the
+        # low points; the literal climb passes s.
+        rng = random.Random(22)
+        for _ in range(12):
+            s = rng.randint(7, 8)
+            pos = rng.sample(range(1, 6), 3) + rng.sample(range(6, 21), s - 3)
+            x = vec({i: F(rng.randint(1, 9), rng.randint(1, 9)) for i in pos})
+            for rule in (FJ, PL):
+                for k in (1, 2, s + 1, None):
+                    expected = (tsirelson_norm(x, rule) if k is None
+                                else iterate_norm(x, k, rule))
+                    assert brute_force_norm(x, k, rule) == expected, (x, rule, k)
+
     def test_parity_guard_refuses_odd_numerator(self):
         # D = 2**2 * 1; an odd numerator in a piece makes the family sum odd.
         se = SmallEvaluator([2, 3], [F(1), F(1)], FJ)
@@ -617,6 +633,16 @@ class TestFamilyKernel:
             table = random_group_table(rng, n, dtype)
             table[n // 2, n - 1] = table[n - 1, 0]  # a sentinel from below the diagonal
             with pytest.raises(RuntimeError, match="sentinel"):
+                fastpaths._family_dp(table, n, list(range(n, 2 * n)))
+
+    def test_sentinel_in_a_later_step_is_refused(self, rng):
+        # Row u's one-group cover (the last column) stays real, so only the
+        # check of each step's covers sees its 2-group cover leave the width.
+        n, u = 40, 7
+        for dtype in WIDTHS:
+            table = random_group_table(rng, n, dtype)
+            table[u, u:n - 1] = table[n - 1, 0]  # sentinels from below the diagonal
+            with pytest.raises(RuntimeError, match="^sentinel in the 2-group covers "):
                 fastpaths._family_dp(table, n, list(range(n, 2 * n)))
 
     @pytest.mark.parametrize("s", [1, 7, 40, 90])

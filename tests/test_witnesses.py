@@ -42,6 +42,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule(1)
 
+    def test_start_past_printable_digits_is_refused(self):
+        assert len(str(schedule(12).m[-1])) == 2809
+        with pytest.raises(BudgetExceededError, match="^schedule of 13 parts refused") as err:
+            schedule(13)
+        assert err.value.reason == "size-limit"
+
     def test_minimality(self):
         # One less at any later entry breaks the separation inequality.
         for n, start in ((2, 1), (3, 1), (2, 5), (4, 1)):
