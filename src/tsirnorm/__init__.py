@@ -4,13 +4,11 @@ from .rules import AdmissibilityRule
 from .session import BudgetExceededError, EvalSession
 from .vectors import (
     FiniteVector,
-    IndexSet,
     VectorParseError,
     format_vector,
     l1_norm,
     normalize_l1,
     parse_vector,
-    precedes,
     sup_norm,
 )
 from .norms import (
@@ -35,13 +33,11 @@ __all__ = [
     "BudgetExceededError",
     "EvalSession",
     "FiniteVector",
-    "IndexSet",
     "VectorParseError",
     "format_vector",
     "l1_norm",
     "normalize_l1",
     "parse_vector",
-    "precedes",
     "sup_norm",
     "Ell1",
     "Sup",

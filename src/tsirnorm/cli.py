@@ -54,23 +54,8 @@ EXIT_REFUSED = 3
 # output, verified); ``main`` adds command, seconds and engine_stats, to a
 # refusal's fields as well.
 
-# Options that only some modes of a command read default to None; each is
-# resolved where it is read, and a mode that does not read it refuses it.
-
-def _rule_of(args) -> AdmissibilityRule:
-    return args.rule or AdmissibilityRule.FIGIEL_JOHNSON
-
-
 def _search_budget(args) -> SearchBudget:
-    given = {name: getattr(args, name) for name in ("max_support", "max_candidates")
-             if getattr(args, name) is not None}
-    return SearchBudget(**given)
-
-
-def _refuse_unread(args, mode: str, *names: str) -> None:
-    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
-    if given:
-        raise ValueError(f"{mode} takes no {', '.join(given)}")
+    return SearchBudget(args.max_support, args.max_candidates)
 
 
 def _exact(x, value) -> dict:
@@ -79,14 +64,14 @@ def _exact(x, value) -> dict:
 
 def cmd_norm(args, session):
     x = parse_vector(args.vector)
-    value = norm_eval(parse_normspec(args.spec, _rule_of(args)), x, session)
+    value = norm_eval(parse_normspec(args.spec, args.rule), x, session)
     return {"spec": args.spec, **_exact(x, value)}, str(value), True
 
 
 def cmd_oracle(args, session):
     x = parse_vector(args.vector)
     k = None if args.level == "limit" else int(args.level)
-    value = brute_force_norm(x, k, _rule_of(args))
+    value = brute_force_norm(x, k, args.rule)
     return {"level": args.level, **_exact(x, value)}, str(value), True
 
 
@@ -100,78 +85,57 @@ def cmd_witness(args, session):
     return witness.to_report(), lines, witness.verified
 
 
-def cmd_ratio(args, session):
-    if args.num or args.den:
-        if args.k is not None or args.n is not None:
-            raise ValueError("give either --k/--n or --num/--den")
-        if not (args.num and args.den):
-            raise ValueError("--num and --den must be given together")
-        result = ratio_search(parse_normspec(args.num, _rule_of(args)),
-                              parse_normspec(args.den, _rule_of(args)),
-                              _search_budget(args), seed=args.seed or 0,
-                              session=session)
-    else:
-        if args.k is None or args.n is None:
-            raise ValueError("give either --k/--n or --num/--den")
-        _refuse_unread(args, "ratio --k/--n", "rule", "seed", "max_support", "max_candidates")
-        result = ratio_certificate(args.k, args.n, session)
+def cmd_ratio_certificate(args, session):
+    result = ratio_certificate(args.k, args.n, session)
     return result.to_report(), str(result.lower_bound), True
 
 
-def _matrix(args, levels, session):
-    return order_property_matrix(levels, budget=_search_budget(args),
-                                 rule=_rule_of(args), session=session)
+def cmd_ratio_search(args, session):
+    result = ratio_search(parse_normspec(args.num, args.rule), parse_normspec(args.den, args.rule),
+                          _search_budget(args), seed=args.seed, session=session)
+    return result.to_report(), str(result.lower_bound), True
 
 
 def cmd_matrix(args, session):
-    variant = PhiVariant.parse(args.variant)
-    matrix = _matrix(args, args.levels, session)
+    matrix = order_property_matrix(args.levels, budget=_search_budget(args), rule=args.rule,
+                                   session=session)
+    phi = matrix.phi_matrix_for_stability(args.variant)
+    gap = stability_gap(phi)
+    sign = stability_sign_exact(matrix.d_matrix_for_stability(), args.variant)
     size = matrix.max_level + 1
-    plain = "\n".join(
-        " ".join(str(matrix.d_value(num, den)) for den in range(size))
-        for num in range(size)
-    )
-    return {**matrix.to_report(),
-            "phi_matrix": matrix.phi_matrix_for_stability(variant),
-            "phi_variant": variant.value}, plain, True
+    rows = [" ".join(str(matrix.d_value(num, den)) for den in range(size)) for num in range(size)]
+    return ({**matrix.to_report(), "phi_matrix": phi, "phi_variant": args.variant.value,
+             "stability": {**gap.to_report(), "exact_sign": sign}},
+            "\n".join([*rows, f"gap {gap.gap} (exact sign {sign:+d})"]), True)
 
 
 def cmd_stability(args, session):
-    if args.matrix:
-        _refuse_unread(args, "stability --matrix",
-                       "levels", "variant", "rule", "budget", "max_support", "max_candidates")
-        try:
-            with open(args.matrix) as fh:
-                matrix = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read matrix file: {exc}") from exc
-        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
-            raise ValueError("matrix file must hold a JSON array of rows")
-        if not all(type(v) in (int, float) and math.isfinite(v) for row in matrix for v in row):
-            raise ValueError("matrix entries must be finite numbers")
-        result = stability_gap([[float(v) for v in row] for row in matrix])
-        return result.to_report(), str(result.gap), True
-    variant = PhiVariant.parse("logistic" if args.variant is None else args.variant)
-    grid = _matrix(args, 4 if args.levels is None else args.levels, session)
-    result = stability_gap(grid.phi_matrix_for_stability(variant))
-    sign = stability_sign_exact(grid.d_matrix_for_stability(), variant)
-    return ({**result.to_report(), "exact_sign": sign},
-            f"{result.gap} (exact sign {sign:+d})", True)
+    try:
+        with open(args.matrix) as fh:
+            matrix = json.load(fh)
+    except (OSError, RecursionError) as exc:  # json's decoder recurses once per nested array
+        raise ValueError(f"cannot read matrix file: {exc}") from exc
+    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+        raise ValueError("matrix file must hold a JSON array of rows")
+    if not all(type(v) in (int, float) and math.isfinite(v) for row in matrix for v in row):
+        raise ValueError("matrix entries must be finite numbers")
+    result = stability_gap([[float(v) for v in row] for row in matrix])
+    return result.to_report(), str(result.gap), True
 
 
 def _phi_context(args) -> EvalContext:
     registry = {}
-    for item in args.norm or []:
+    for item in args.norm:
         if "=" not in item:
             raise ValueError(f"--norm needs id=SPEC, got {item!r}")
         name, spec_text = item.split("=", 1)
-        registry[name.strip()] = parse_normspec(spec_text, _rule_of(args))
-    if not registry:
-        registry = {"M": parse_normspec("tsirelson", _rule_of(args))}
-    pool = [parse_vector(v) for v in args.pool or []]
-    if not pool:
-        pool = [parse_vector("1:1")]
-    return EvalContext(registry, PhiVariant.parse(args.variant), pool)
+        name = name.strip()
+        if name in registry:
+            raise ValueError(f"--norm {name} given twice")
+        registry[name] = parse_normspec(spec_text, args.rule)
+    pool = [parse_vector(v) for v in args.pool or ["1:1"]]
+    return EvalContext(registry or {"M": parse_normspec("tsirelson", args.rule)},
+                       args.variant, pool)
 
 
 def cmd_phi_parse(args, session):
@@ -186,7 +150,7 @@ def cmd_phi_mpv(args, session):
 
 def cmd_phi_eval(args, session):
     expr, ctx = parse_phi(args.expr), _phi_context(args)
-    value = eval_phi(expr, parse_normspec(args.target, _rule_of(args)), ctx, session)
+    value = eval_phi(expr, parse_normspec(args.target, args.rule), ctx, session)
     tag = "exact" if isinstance(value, Fraction) else "float-estimate"
     return {"value": {"value": str(value), "tag": tag}}, str(value), True
 
@@ -215,25 +179,31 @@ def non_negative_int(text: str) -> int:
 
 
 def _rule(p):
-    p.add_argument("--rule", type=AdmissibilityRule.parse, default=None,
+    p.add_argument("--rule", type=AdmissibilityRule.parse,
+                   default=AdmissibilityRule.FIGIEL_JOHNSON,
                    help="admissibility rule: fj (default) or paper")
 
 
 def _budget(p):
     p.add_argument("--budget", type=non_negative_int, default=None,
-                   help="work-unit budget for exact evaluation")
+                   help="work-unit budget for exact evaluation (default: the library's)")
 
 
 def _seed(p):
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=int, default=0,
                    help="seed for the randomised candidate pool")
 
 
 def _search(p):
-    p.add_argument("--max-support", type=non_negative_int, default=None,
+    p.add_argument("--max-support", type=non_negative_int, default=SearchBudget.max_support,
                    help="skip search candidates with more support points")
-    p.add_argument("--max-candidates", type=non_negative_int, default=None,
-                   help="number of search candidates drawn")
+    p.add_argument("--max-candidates", type=non_negative_int,
+                   default=SearchBudget.max_candidates, help="number of search candidates drawn")
+
+
+def _witness(p):
+    p.add_argument("--k", type=int, required=True, help="witness level")
+    p.add_argument("--n", type=int, required=True, help="number of parts")
 
 
 def _expr(p):
@@ -241,11 +211,11 @@ def _expr(p):
 
 
 def _phi_options(p):
-    p.add_argument("--norm", action="append", metavar="ID=SPEC",
-                   help="register a norm (repeatable)")
-    p.add_argument("--variant", default="similarity")
-    p.add_argument("--pool", action="append", metavar="VECTOR",
-                   help="distance-estimation candidate (repeatable)")
+    p.add_argument("--norm", action="append", default=[], metavar="ID=SPEC",
+                   help="register a norm (repeatable; default M=tsirelson)")
+    p.add_argument("--variant", type=PhiVariant.parse, default=PhiVariant.SIMILARITY)
+    p.add_argument("--pool", action="append", default=[], metavar="VECTOR",
+                   help="distance-estimation candidate (repeatable; default 1:1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,6 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, budget=None, parser=p)
         return p
 
+    def modes(name, help):
+        return subs.add_parser(name, help=help).add_subparsers(dest=f"{name}_command",
+                                                               required=True)
+
     p = command("norm", cmd_norm, "evaluate a norm on a vector literal", _rule, _budget)
     p.add_argument("vector", help="e.g. '3:1,4:1,5:1' or '7..13:1/7'")
     p.add_argument("--spec", required=True,
@@ -275,32 +249,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vector")
     p.add_argument("--level", required=True, help="iterate level or 'limit'")
 
-    p = command("witness", cmd_witness, "build and certify a growth witness", _budget)
-    p.add_argument("--k", type=int, required=True, help="certificate level")
-    p.add_argument("--n", type=int, required=True, help="number of parts")
+    p = command("witness", cmd_witness, "build and certify a growth witness",
+                _witness, _budget)
     p.add_argument("--start", type=int, default=1, help="first admissible index")
 
-    p = command("ratio", cmd_ratio, "certified iterate-ratio lower bounds",
-                _rule, _budget, _seed, _search)
-    p.add_argument("--k", type=int, default=None, help="witness level (with --n)")
-    p.add_argument("--n", type=int, default=None, help="witness parts (with --k)")
-    p.add_argument("--num", default=None, help="numerator norm spec (search mode)")
-    p.add_argument("--den", default=None, help="denominator norm spec (search mode)")
+    ratio = modes("ratio", "certified iterate-ratio lower bounds")
+    command("certificate", cmd_ratio_certificate, "(k+1 vs k) bound of an n-part witness",
+            _witness, _budget, within=ratio)
+    p = command("search", cmd_ratio_search, "bound from a seeded candidate search",
+                _rule, _budget, _seed, _search, within=ratio)
+    p.add_argument("--num", required=True, help="numerator norm spec")
+    p.add_argument("--den", required=True, help="denominator norm spec")
 
-    p = command("matrix", cmd_matrix, "order-property distance matrix",
+    p = command("matrix", cmd_matrix, "order-property distance matrix and its stability gap",
                 _rule, _budget, _search)
     p.add_argument("--levels", type=int, required=True, help="top iterate level L")
-    p.add_argument("--variant", default="logistic")
+    p.add_argument("--variant", type=PhiVariant.parse, default=PhiVariant.LOGISTIC)
 
-    p = command("stability", cmd_stability, "stability gap of a phi matrix",
-                _rule, _budget, _search)
-    p.add_argument("--matrix", default=None, help="JSON file with a float matrix")
-    p.add_argument("--levels", type=int, default=None,
-                   help="build the iterate matrix up to this level instead")
-    p.add_argument("--variant", default=None)
+    p = command("stability", cmd_stability, "stability gap of a float matrix")
+    p.add_argument("matrix", metavar="FILE", help="JSON array of rows of finite numbers")
 
-    phi = subs.add_parser("phi", help="phi-polynomial DSL").add_subparsers(
-        dest="phi_command", required=True)
+    phi = modes("phi", "phi-polynomial DSL")
     command("parse", cmd_phi_parse, "canonical form and JSON tree", _expr, within=phi)
     command("mpv", cmd_phi_mpv, "maximum possible value", _expr, within=phi)
     p = command("eval", cmd_phi_eval, "value against a target norm",

@@ -52,22 +52,26 @@ class SmallEvaluator:
         self._value_memo, self._parts_memo, self._start_memo = self.session.memo.setdefault(
             fingerprint, ({}, {}, {}))
         self._first_start = {}
+        # Every level from this one on equals it.  Figiel-Johnson: a window
+        # of m points takes families of windows of at most m - 1 points, so it
+        # is constant from level m - 1 on.  Literal rule: a family at step k+1
+        # needs min E_1 >= k, so none of two or more groups is left once k
+        # reaches the largest support index.
+        self._stable_from = (self.s if rule is AdmissibilityRule.FIGIEL_JOHNSON
+                             else max(pos, default=0) + 1)
 
     # -- public -----------------------------------------------------------
 
     def iterate(self, k: int) -> Fraction:
         if self.s == 0:
             return Fraction(0)
-        return Fraction(self._value(0, self.s - 1, k), self.denominator)
+        return Fraction(self._value(0, self.s - 1, min(k, self._stable_from)), self.denominator)
 
     def limit(self) -> Fraction:
         if self.s == 0:
             return Fraction(0)
         if self.rule is AdmissibilityRule.PAPER_LITERAL:
-            # Families at step k+1 need min E_1 >= k, impossible once k
-            # passes the largest support index: the sequence is constant
-            # from that level on.
-            return self.iterate(self.pos[-1] + 1)
+            return self.iterate(self._stable_from)
         return Fraction(self._value(0, self.s - 1, None), self.denominator)
 
     # -- recursion ----------------------------------------------------------

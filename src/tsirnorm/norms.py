@@ -229,32 +229,41 @@ def norm_eval(spec: NormSpec, x: FiniteVector,
 
 # -- spec literals -----------------------------------------------------------
 
+# Deeper joins (and deeper DSL expressions) are refused by their parsers, so
+# that no input can exhaust the stack of the recursions that read them.
+MAX_NESTING = 100
+
+
 def parse_normspec(text: str, rule: AdmissibilityRule = _FJ) -> NormSpec:
     """Parse 'l1' | 'sup' | 'iterate:K' | 'tsirelson' | 'join(SPEC,SPEC)'."""
-    t = text.strip()
-    low = t.lower()
-    if low == "l1":
-        return Ell1()
-    if low == "sup":
-        return Sup()
-    if low == "tsirelson":
-        return TsirelsonLimit(rule)
-    if low.startswith("iterate:"):
-        try:
-            level = int(t.split(":", 1)[1])
-        except ValueError as exc:
-            raise ValueError(f"bad iterate level in {text!r}") from exc
-        return Iterate(level, rule)
-    if low.startswith("join(") and t.endswith(")"):
-        inner = t[5:-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return Join(parse_normspec(inner[:i], rule),
-                            parse_normspec(inner[i + 1:], rule))
-        raise ValueError(f"join needs two comma-separated parts: {text!r}")
-    raise ValueError(f"unknown norm spec {text!r}")
+    def parse(text: str, joins: int) -> NormSpec:
+        t = text.strip()
+        low = t.lower()
+        if low == "l1":
+            return Ell1()
+        if low == "sup":
+            return Sup()
+        if low == "tsirelson":
+            return TsirelsonLimit(rule)
+        if low.startswith("iterate:"):
+            try:
+                level = int(t.split(":", 1)[1])
+            except ValueError as exc:
+                raise ValueError(f"bad iterate level in {text!r}") from exc
+            return Iterate(level, rule)
+        if low.startswith("join(") and t.endswith(")"):
+            if joins == MAX_NESTING:
+                raise ValueError(f"norm spec nests joins deeper than {MAX_NESTING}")
+            inner = t[5:-1]
+            depth = 0
+            for i, ch in enumerate(inner):
+                if ch == "(":
+                    depth += 1
+                elif ch == ")":
+                    depth -= 1
+                elif ch == "," and depth == 0:
+                    return Join(parse(inner[:i], joins + 1), parse(inner[i + 1:], joins + 1))
+            raise ValueError(f"join needs two comma-separated parts: {text!r}")
+        raise ValueError(f"unknown norm spec {text!r}")
+
+    return parse(text, 0)

@@ -19,7 +19,7 @@ from functools import reduce
 from typing import Callable, ClassVar, Union
 
 from .geometry import PhiVariant, distance_lower
-from .norms import Join, NormSpec
+from .norms import MAX_NESTING, Join, NormSpec
 from .session import EvalSession
 from .vectors import FiniteVector
 
@@ -191,18 +191,21 @@ class _Parser:
             self.error("trailing input")
         return expr
 
-    def expr(self) -> PhiExpr:
+    def expr(self, depth: int = 0) -> PhiExpr:
+        """An expression inside ``depth`` operators and scalings."""
+        if depth > MAX_NESTING:
+            self.error(f"expression nested deeper than {MAX_NESTING}")
         self.skip_ws()
         c = self.peek()
         if c == "(":
             self.i += 1
-            left = self.expr()
+            left = self.expr(depth + 1)
             self.skip_ws()
             op = self.peek()
             if op not in _OPERATORS:
                 self.error("expected one of " + ", ".join(map(repr, _OPERATORS)))
             self.i += 1
-            right = self.expr()
+            right = self.expr(depth + 1)
             self.expect(")")
             return _OPERATORS[op](left, right)
         if self.text.startswith("phi", self.i):
@@ -231,7 +234,7 @@ class _Parser:
                 self.i += 1
                 if value > 1:
                     self.error(f"scale coefficient {value} outside [0, 1]")
-                return Scal(value, self.expr())
+                return Scal(value, self.expr(depth + 1))
             if value == 1:
                 return Const1()
             self.error("a bare rational other than 1 is not a sentence")

@@ -1,4 +1,4 @@
-"""Finitely supported rational sequences and finite index sets.
+"""Finitely supported rational sequences.
 
 Vectors live on the 1-based basis t_1, t_2, ... and carry exact
 ``fractions.Fraction`` coefficients.  Internally every vector is kept in a
@@ -12,16 +12,13 @@ for every operation.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "FiniteVector",
-    "IndexSet",
     "parse_vector",
     "format_vector",
-    "precedes",
     "sup_norm",
     "l1_norm",
     "normalize_l1",
@@ -162,14 +159,6 @@ class FiniteVector:
                 runs.append((lo, hi - 1, v))
         return FiniteVector(runs)
 
-    def __neg__(self) -> "FiniteVector":
-        return FiniteVector((s, e, -v) for s, e, v in self.runs)
-
-    def __sub__(self, other: "FiniteVector") -> "FiniteVector":
-        if not isinstance(other, FiniteVector):
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, c) -> "FiniteVector":
         c = _as_fraction(c)
         if c == 0:
@@ -189,9 +178,10 @@ class FiniteVector:
                 out.append((a, b, v))
         return FiniteVector(out)
 
-    def restrict(self, indices: "IndexSet") -> "FiniteVector":
+    def restrict(self, indices: Iterable[int]) -> "FiniteVector":
+        """Restriction to the given indices (repeats are ignored)."""
         out = []
-        for i in indices:
+        for i in set(indices):
             v = self.value_at(i)
             if v != 0:
                 out.append((i, i, v))
@@ -207,63 +197,6 @@ class FiniteVector:
 
     def __repr__(self) -> str:
         return f"FiniteVector({format_vector(self)!r})"
-
-
-class IndexSet:
-    """Sorted finite set of positive indices with cached min and max."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices: Iterable[int]):
-        pts = sorted(set(indices))
-        if pts and pts[0] < 1:
-            raise ValueError("indices must be positive")
-        object.__setattr__(self, "indices", tuple(pts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexSet is immutable")
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.indices
-
-    @property
-    def min(self) -> int:
-        if not self.indices:
-            raise ValueError("empty index set has no min")
-        return self.indices[0]
-
-    @property
-    def max(self) -> int:
-        if not self.indices:
-            raise ValueError("empty index set has no max")
-        return self.indices[-1]
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __contains__(self, i):
-        k = bisect_left(self.indices, i)
-        return k < len(self.indices) and self.indices[k] == i
-
-    def __eq__(self, other):
-        return isinstance(other, IndexSet) and self.indices == other.indices
-
-    def __hash__(self):
-        return hash(self.indices)
-
-    def __repr__(self):
-        return f"IndexSet({list(self.indices)})"
-
-
-def precedes(e: IndexSet, f: IndexSet, strict: bool = False) -> bool:
-    """Successiveness test: max E <= min F (strict: <)."""
-    if e.is_empty or f.is_empty:
-        raise ValueError("precedes requires nonempty index sets")
-    return e.max < f.min if strict else e.max <= f.min
 
 
 def sup_norm(x: FiniteVector) -> Fraction:

@@ -5,6 +5,7 @@ import pytest
 
 from tsirnorm import cli
 from tsirnorm.cli import main
+from tsirnorm.norms import MAX_NESTING
 from tsirnorm.witnesses import schedule
 
 # 100 points i+2 : 1/p_i (p_i the i-th prime): the numerators over the
@@ -25,6 +26,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def prog(argv):
+    """The command of argv as its usage names it: each phi and ratio mode is a command."""
+    return " ".join(argv[:2] if argv[0] in ("phi", "ratio") else argv[:1])
+
+
+def assert_unread_option_rejected(capsys, argv, unread):
+    """argparse refuses ``unread`` after ``argv`` with the command's own usage."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *unread])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: tsirnorm {prog(argv)} [-h]")
+    assert f"tsirnorm {prog(argv)}: error: unrecognized arguments: {' '.join(unread)}" in err
+
+
 class TestNorm:
     def test_iterate_example(self, capsys):
         code, out, _ = run(capsys, "norm", "--spec", "iterate:1", "3:1,4:1,5:1")
@@ -37,6 +53,16 @@ class TestNorm:
     def test_zero_index_is_input_error(self, capsys):
         code, _, err = run(capsys, "norm", "--spec", "tsirelson", "0:1")
         assert code == 2 and "1-based" in err
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1])
+    def test_joins_nested_past_the_limit_are_an_input_error(self, capsys, depth):
+        spec = "join(" * depth + "l1" + ",sup)" * depth
+        code, out, err = run(capsys, "norm", "--spec", spec, "2:1,3:1")
+        if depth <= MAX_NESTING:
+            assert (code, out, err) == (0, "2\n", "")
+        else:
+            assert (code, out, err) == (
+                2, "", f"input error: norm spec nests joins deeper than {MAX_NESTING}\n")
 
     def test_json_report_tags_values(self, capsys):
         code, out, _ = run(capsys, "norm", "--spec", "tsirelson", "2:1,3:1", "--json")
@@ -150,11 +176,12 @@ class TestWitness:
         assert report["schedule"] == list(schedule(12).m)
         assert len(str(report["schedule"][-1])) == 2809
 
-    @pytest.mark.parametrize("command", ["witness", "ratio"])
+    @pytest.mark.parametrize("command", [["witness"], ["ratio", "certificate"]],
+                             ids=lambda command: command[0])
     def test_start_past_printable_digits_is_refused(self, capsys, command):
         # The 13th start of a 13-part schedule has 5763 digits, past the 4300
         # that Python converts to text.
-        code, out, err = run(capsys, command, "--k", "1", "--n", "13")
+        code, out, err = run(capsys, *command, "--k", "1", "--n", "13")
         assert (code, out) == (3, "")
         assert err == ("refused (size-limit): schedule of 13 parts refused: "
                        "start 13 passes 4300 digits\n")
@@ -162,16 +189,15 @@ class TestWitness:
 
 class TestRatio:
     def test_certificate_mode(self, capsys):
-        code, out, _ = run(capsys, "ratio", "--k", "1", "--n", "4")
+        code, out, _ = run(capsys, "ratio", "certificate", "--k", "1", "--n", "4")
         assert code == 0 and out.strip() == "2"
 
     def test_both_modes_are_an_input_error(self, capsys):
-        code, out, err = run(capsys, "ratio", "--k", "1", "--n", "4",
-                             "--num", "iterate:2", "--den", "iterate:1")
-        assert (code, out, err) == (2, "", "input error: give either --k/--n or --num/--den\n")
+        assert_unread_option_rejected(capsys, ("ratio", "certificate", "--k", "1", "--n", "4"),
+                                      ("--num", "iterate:2", "--den", "iterate:1"))
 
     def test_search_mode(self, capsys):
-        code, out, _ = run(capsys, "ratio", "--num", "l1", "--den", "sup",
+        code, out, _ = run(capsys, "ratio", "search", "--num", "l1", "--den", "sup",
                            "--max-candidates", "10", "--max-support", "30")
         assert code == 0
         num, _, den = out.strip().partition("/")
@@ -182,10 +208,10 @@ class TestRatio:
         ("--max-support", "3"), ("--max-candidates", "0"),
     ], ids=lambda option: " ".join(option))
     def test_certificate_mode_refuses_the_search_options(self, capsys, option):
-        # --k/--n reads only --budget; a search option is an input error,
-        # even at its default value.
-        code, out, err = run(capsys, "ratio", "--k", "1", "--n", "4", *option)
-        assert (code, out, err) == (2, "", f"input error: ratio --k/--n takes no {option[0]}\n")
+        # The certificate reads only --budget; a search option is an input
+        # error, even at its default value.
+        assert_unread_option_rejected(capsys, ("ratio", "certificate", "--k", "1", "--n", "4"),
+                                      option)
 
 
 class TestMatrixStability:
@@ -201,15 +227,23 @@ class TestMatrixStability:
     def test_stability_constant_matrix(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("[[0.25, 0.25], [0.25, 0.25]]")
-        code, out, _ = run(capsys, "stability", "--matrix", str(path))
+        code, out, _ = run(capsys, "stability", str(path))
         assert code == 0 and float(out.strip()) == 0.0
 
     def test_matrix_file_gap(self, capsys, tmp_path):
-        # The gap of a float matrix has no phi variant: this mode refuses
+        # The gap of a float matrix has no phi variant: stability refuses
         # --variant (below) and prints the gap of the file alone.
         path = tmp_path / "m.json"
         path.write_text("[[0.1, 0.7, 0.3], [0.4, 0.2, 0.9], [0.5, 0.05, 0.6]]")
-        assert run(capsys, "stability", "--matrix", str(path)) == (0, "0.85\n", "")
+        assert run(capsys, "stability", str(path)) == (0, "0.85\n", "")
+
+    def test_matrix_reports_the_stability_gap(self, capsys):
+        code, out, _ = run(capsys, "matrix", "--levels", "3")
+        assert code == 0 and out.splitlines()[-1] == "gap 0.4093838908503587 (exact sign +1)"
+        code, out, _ = run(capsys, "matrix", "--levels", "3", "--json")
+        assert code == 0 and json.loads(out)["stability"] == {
+            "sup_lower": 0.4093838908503587, "inf_upper": 0.0, "gap": 0.4093838908503587,
+            "rows": 4, "cols": 4, "sup_witness": [0, 2], "inf_witness": [1, 0], "exact_sign": 1}
 
     @pytest.mark.parametrize("option", [
         ("--levels", "9"), ("--levels", "4"), ("--rule", "paper"), ("--budget", "1"),
@@ -218,21 +252,20 @@ class TestMatrixStability:
     def test_matrix_file_mode_refuses_the_grid_options(self, capsys, tmp_path, option):
         path = tmp_path / "m.json"
         path.write_text("[[0.25, 0.25], [0.25, 0.25]]")
-        code, out, err = run(capsys, "stability", "--matrix", str(path), *option)
-        want = f"input error: stability --matrix takes no {option[0]}\n"
-        assert (code, out, err) == (2, "", want)
+        assert_unread_option_rejected(capsys, ("stability", str(path)), option)
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read matrix file: "),
         ("[1, 2]", "matrix file must hold a JSON array of rows\n"),
         ("[[1, NaN], [3, 4]]", "matrix entries must be finite numbers\n"),
         ("[[1, true], [3, 4]]", "matrix entries must be finite numbers\n"),
-    ], ids=["missing file", "rows not arrays", "nan entry", "boolean entry"])
+        ("[" * 100_000 + "]" * 100_000, "cannot read matrix file: maximum recursion depth"),
+    ], ids=["missing file", "rows not arrays", "nan entry", "boolean entry", "deep nesting"])
     def test_matrix_file_input_errors(self, capsys, tmp_path, content, message):
         path = tmp_path / "m.json"
         if content is not None:
             path.write_text(content)
-        code, out, err = run(capsys, "stability", "--matrix", str(path))
+        code, out, err = run(capsys, "stability", str(path))
         assert (code, out) == (2, "") and err.startswith(f"input error: {message}")
 
     def test_matrix_parses_the_variant_before_any_work(self, capsys, monkeypatch):
@@ -240,8 +273,11 @@ class TestMatrixStability:
             raise AssertionError("the matrix was built")
 
         monkeypatch.setattr(cli, "order_property_matrix", fail)
-        code, out, err = run(capsys, "matrix", "--levels", "4", "--variant", "bogus")
-        assert (code, out, err) == (2, "", "input error: unknown phi variant 'bogus'\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix", "--levels", "4", "--variant", "bogus"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "tsirnorm matrix: error: argument --variant: invalid parse value: 'bogus'" in err
 
 
 class TestPhi:
@@ -275,6 +311,21 @@ class TestPhi:
     def test_norm_without_a_spec_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "phi", "eval", "phi(M)", "--norm", "M")
         assert code == 2 and "--norm needs id=SPEC" in err
+
+    def test_repeated_norm_id_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "phi", "eval", "phi(M)", "--norm", "M=sup",
+                             "--norm", "M=l1", "--target", "l1")
+        assert (code, out, err) == (2, "", "input error: --norm M given twice\n")
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1])
+    def test_nesting_past_the_limit_is_an_input_error(self, capsys, depth):
+        expr = "(" * depth + "1" + "&1)" * depth
+        code, out, err = run(capsys, "phi", "parse", expr, "--json")
+        if depth <= MAX_NESTING:
+            assert code == 0 and json.loads(out)["canonical"] == expr
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith(f"input error: expression nested deeper than {MAX_NESTING}")
 
     def test_eval_at_a_distance_past_the_largest_float(self, capsys):
         pool = "1..1" + "0" * 310 + ":1"  # l1/sup is 10**310 on one flat block
@@ -342,11 +393,10 @@ class TestRunner:
         ("norm", "--spec", "iterate:1", "3:1,4:1,5:1"),
         ("oracle", "--level", "limit", "3:1,4:1,5:1"),
         ("witness", "--k", "1", "--n", "2"),
-        ("ratio", "--k", "1", "--n", "4"),
-        ("ratio", "--num", "l1", "--den", "sup", "--max-candidates", "4"),
+        ("ratio", "certificate", "--k", "1", "--n", "4"),
+        ("ratio", "search", "--num", "l1", "--den", "sup", "--max-candidates", "4"),
         ("matrix", "--levels", "2"),
-        ("stability", "--levels", "2"),
-        ("stability", "--matrix", "MATRIX_FILE"),
+        ("stability", "MATRIX_FILE"),
         ("phi", "parse", "(1&phi(M))"),
         ("phi", "mpv", "(1/2*1 + 3/4*1)"),
         ("phi", "eval", "phi(M)", "--norm", "M=iterate:1", "--target", "iterate:2"),
@@ -373,19 +423,12 @@ class TestRunner:
         ("norm", "--spec", "l1", "3:1", "--seed", "3"),
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_option_the_command_does_not_read_is_rejected(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        prog = " ".join(argv[:2] if argv[0] == "phi" else argv[:1])  # each phi mode is a command
-        assert err.startswith(f"usage: tsirnorm {prog} [-h]")
-        assert (f"tsirnorm {prog}: error: unrecognized arguments: {' '.join(argv[-2:])}"
-                in err)
+        assert_unread_option_rejected(capsys, argv[:-2], argv[-2:])
 
     @pytest.mark.parametrize("argv", [
         ("norm", "--spec", "l1", "1:1", "--budget", "-5"),
-        ("ratio", "--num", "iterate:3", "--den", "iterate:2", "--max-candidates", "-1"),
-        ("ratio", "--num", "l1", "--den", "sup", "--max-support", "-1"),
+        ("ratio", "search", "--num", "iterate:3", "--den", "iterate:2", "--max-candidates", "-1"),
+        ("ratio", "search", "--num", "l1", "--den", "sup", "--max-support", "-1"),
         ("probe", "1/2", "--budget", "many"),
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_count_options_take_non_negative_ints(self, capsys, argv):
@@ -393,14 +436,14 @@ class TestRunner:
             main(list(argv))
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"usage: tsirnorm {argv[0]} [-h]")
-        assert (f"tsirnorm {argv[0]}: error: argument {argv[-2]}: invalid non_negative_int "
+        assert err.startswith(f"usage: tsirnorm {prog(argv)} [-h]")
+        assert (f"tsirnorm {prog(argv)}: error: argument {argv[-2]}: invalid non_negative_int "
                 f"value: '{argv[-1]}'" in err)
 
     def test_search_candidates_share_the_command_budget(self, capsys):
         # Every candidate charges the command's one budget; the ones after it
         # is spent fall back to certified bounds, and the search still ends.
-        argv = ("ratio", "--num", "iterate:3", "--den", "iterate:2", "--json")
+        argv = ("ratio", "search", "--num", "iterate:3", "--den", "iterate:2", "--json")
         code, out, _ = run(capsys, *argv)
         full = json.loads(out)
         assert code == 0 and sum(full["engine_stats"].values()) > 30_000_000

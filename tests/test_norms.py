@@ -12,7 +12,6 @@ from tsirnorm import (
     Ell1,
     EvalSession,
     FiniteVector,
-    IndexSet,
     Iterate,
     Join,
     Sup,
@@ -292,6 +291,16 @@ class TestIntegerNumerators:
                 for k in (None, 2, 4, 3):
                     assert engine_value(pos, w, rule, k, shared) == values[k], (size, rule, k)
             assert engine_work(shared) == totals, size
+
+    @pytest.mark.parametrize("rule", [FJ, PL])
+    def test_climb_stops_at_the_stable_level(self, rule):
+        # Every level from s (Figiel-Johnson) or the largest index + 1 (the
+        # literal rule) on is the same, so a far level climbs no further.
+        pos, w = engine_support(8)
+        stable = 8 if rule is FJ else pos[-1] + 1
+        far, near = EvalSession(), EvalSession()
+        assert engine_value(pos, w, rule, 10 ** 6, far) == engine_value(pos, w, rule, stable, near)
+        assert far.stats == near.stats and far.used == near.used
 
     def test_families_enumerated_is_charged(self, rng):
         for _ in range(20):
@@ -686,7 +695,7 @@ class TestInvariants:
     @settings(max_examples=50, deadline=None)
     def test_suppression(self, entries, idx):
         x = vec(entries)
-        y = x.restrict(IndexSet(idx))
+        y = x.restrict(idx)
         for k in (1, 2):
             assert iterate_norm(y, k, FJ) <= iterate_norm(x, k, FJ)
 

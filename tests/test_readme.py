@@ -9,9 +9,11 @@ Each ``tsirnorm ...`` line of the "Command line" block runs through
 ``refused (REASON)``; where the comment is a rational, stdout must equal it;
 where it has ``--json``, stdout must be a JSON report whose engine_stats
 holds the four session counters and, on a refused line, whose
-``refused.reason`` is REASON.
+``refused.reason`` is REASON.  Its option table lists, for every command,
+the long options of that command's parser.
 """
 
+import argparse
 import json
 import re
 import shlex
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from tsirnorm.cli import main
+from tsirnorm.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 COUNTERS = {"ranges_evaluated", "dp_transitions", "tables_built", "families_enumerated"}
@@ -77,3 +79,27 @@ def test_command_line(capsys, line):
         assert COUNTERS <= set(report["engine_stats"])
         if refused:
             assert report["refused"]["reason"] == refused.group(1)
+
+
+def commands(parser, words=()):
+    """(command words, parser) for every command, each mode of a nested one included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from commands(sub, (*words, name))
+            return
+    yield " ".join(words), parser
+
+
+def test_option_table_matches_the_parser():
+    table = README.split("| command | options |", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.strip().splitlines()[1:]:
+        names, options = line.strip("|").split("|")
+        for name in re.findall(r"`([^`]+)`", names):
+            rows[name] = set(re.findall(r"--[a-z][a-z-]*", options))
+    parsers = dict(commands(build_parser()))
+    assert set(rows) == set(parsers)
+    for name, parser in parsers.items():
+        taken = {o for action in parser._actions for o in action.option_strings if o[1] == "-"}
+        assert rows[name] == taken - {"--help", "--json"}, name
