@@ -173,19 +173,33 @@ def cmd_probe(args, session):
 
 
 def non_negative_int(text: str) -> int:
-    if int(text) < 0:
-        raise ValueError(text)
-    return int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _option_type(parse):
+    """``parse`` as an argparse type that reports the library's own message."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 def _rule(p):
-    p.add_argument("--rule", type=AdmissibilityRule.parse,
+    p.add_argument("--rule", type=_option_type(AdmissibilityRule.parse),
                    default=AdmissibilityRule.FIGIEL_JOHNSON,
                    help="admissibility rule: fj (default) or paper")
 
 
 def _budget(p):
-    p.add_argument("--budget", type=non_negative_int, default=None,
+    p.add_argument("--budget", type=_option_type(non_negative_int), default=None,
                    help="work-unit budget for exact evaluation (default: the library's)")
 
 
@@ -195,9 +209,10 @@ def _seed(p):
 
 
 def _search(p):
-    p.add_argument("--max-support", type=non_negative_int, default=SearchBudget.max_support,
+    p.add_argument("--max-support", type=_option_type(non_negative_int),
+                   default=SearchBudget.max_support,
                    help="skip search candidates with more support points")
-    p.add_argument("--max-candidates", type=non_negative_int,
+    p.add_argument("--max-candidates", type=_option_type(non_negative_int),
                    default=SearchBudget.max_candidates, help="number of search candidates drawn")
 
 
@@ -213,7 +228,7 @@ def _expr(p):
 def _phi_options(p):
     p.add_argument("--norm", action="append", default=[], metavar="ID=SPEC",
                    help="register a norm (repeatable; default M=tsirelson)")
-    p.add_argument("--variant", type=PhiVariant.parse, default=PhiVariant.SIMILARITY)
+    p.add_argument("--variant", type=_option_type(PhiVariant.parse), default=PhiVariant.SIMILARITY)
     p.add_argument("--pool", action="append", default=[], metavar="VECTOR",
                    help="distance-estimation candidate (repeatable; default 1:1)")
 
@@ -235,9 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, budget=None, parser=p)
         return p
 
-    def modes(name, help):
-        return subs.add_parser(name, help=help).add_subparsers(dest=f"{name}_command",
-                                                               required=True)
+    def modes(name, help, *names):
+        # The metavar names the modes when one is missing.
+        return subs.add_parser(name, help=help).add_subparsers(
+            dest=f"{name}_command", required=True, metavar="{%s}" % ",".join(names))
 
     p = command("norm", cmd_norm, "evaluate a norm on a vector literal", _rule, _budget)
     p.add_argument("vector", help="e.g. '3:1,4:1,5:1' or '7..13:1/7'")
@@ -253,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                 _witness, _budget)
     p.add_argument("--start", type=int, default=1, help="first admissible index")
 
-    ratio = modes("ratio", "certified iterate-ratio lower bounds")
+    ratio = modes("ratio", "certified iterate-ratio lower bounds", "certificate", "search")
     command("certificate", cmd_ratio_certificate, "(k+1 vs k) bound of an n-part witness",
             _witness, _budget, within=ratio)
     p = command("search", cmd_ratio_search, "bound from a seeded candidate search",
@@ -264,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("matrix", cmd_matrix, "order-property distance matrix and its stability gap",
                 _rule, _budget, _search)
     p.add_argument("--levels", type=int, required=True, help="top iterate level L")
-    p.add_argument("--variant", type=PhiVariant.parse, default=PhiVariant.LOGISTIC)
+    p.add_argument("--variant", type=_option_type(PhiVariant.parse), default=PhiVariant.LOGISTIC)
 
     p = command("stability", cmd_stability, "stability gap of a float matrix")
     p.add_argument("matrix", metavar="FILE", help="JSON array of rows of finite numbers")
 
-    phi = modes("phi", "phi-polynomial DSL")
+    phi = modes("phi", "phi-polynomial DSL", "parse", "mpv", "eval", "realize")
     command("parse", cmd_phi_parse, "canonical form and JSON tree", _expr, within=phi)
     command("mpv", cmd_phi_mpv, "maximum possible value", _expr, within=phi)
     p = command("eval", cmd_phi_eval, "value against a target norm",

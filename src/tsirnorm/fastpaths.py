@@ -13,10 +13,16 @@ Two families of shortcuts:
   the climb doubles them.  Each rung runs one max-plus partition kernel,
   ``_family_dp``, per right end; the requested level runs it once.  The
   kernel runs its steps in groups: each group copies every block of table
-  rows once into a contiguous buffer, from the last block to the first,
+  rows (about 64 full rows' worth of entries, so narrower blocks have more
+  rows) once into a contiguous buffer, from the last block to the first,
   and runs each step of the group on it as one numpy add and one row-wise
-  max.  It checks every cover it makes, so no sentinel can meet another
-  sentinel.
+  max.  Two cover buffers alternate by group parity.  On large calls
+  (800 rows or more, two or more groups, two CPUs) a helper thread runs
+  the odd groups while the caller runs the even ones: a block of group g
+  waits until group g - 1 has finished every row from the block's first
+  on.  The kernel checks every cover it makes, so no sentinel can meet
+  another sentinel, and its values and errors do not depend on the
+  schedule.
 
 Both Schreier maximisers are exact: the objective is piecewise linear in
 their scan parameter, and every breakpoint lands in the enumerated
@@ -26,10 +32,13 @@ as independent cross-checks of each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
 import sys
+import threading
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -50,14 +59,35 @@ __all__ = [
 # int64, the largest level-2 table that point counts admitted.
 TABLE_BYTES_LIMIT = 2600 * 2600 * 8
 
-# Rows per block and steps per group of _family_dp.  On the int32 tables of
-# the (2,2) witness (1459 and 1468 points, one 2-vCPU host, four alternating
-# rounds), one kernel call took 0.31-0.46 s at 32 steps and 64 rows,
-# 0.33-0.49 s at 16 steps, 0.32-0.40 s at 64 steps, 0.29-0.46 s at 128 rows
-# and 0.41-0.52 s at 32 rows; the same tables in int64 took 0.59-0.77 s at
-# 64 rows and 0.62-0.87 s at 128 (32 steps both).
+# A row block of _family_dp holds about _DP_BLOCK_ROWS * n table entries (as
+# many full rows), and a step group has _DP_GROUP_STEPS steps.  On the int32
+# tables of the (2,2) witness (1459, 1459 and 1468 points, one 2-vCPU host,
+# four alternating rounds), one kernel call with the helper thread took
+# 0.17-0.24 s at 64 rows' worth, 0.22-0.32 s at 32 and 0.19-0.32 s at 128
+# (one thread: 0.25-0.29, 0.27-0.33 and 0.28-0.33 s); in int64 0.29-0.40 s
+# at 64, 0.28-0.42 s at 32 and 0.45-0.54 s at 128 (one thread: 0.46-0.52,
+# 0.44-0.57 and 0.66-0.94 s).  At 64 rows' worth, 16, 32 and 64 steps took
+# 0.18-0.25, 0.18-0.21 and 0.18-0.24 s.
 _DP_BLOCK_ROWS = 64
 _DP_GROUP_STEPS = 32
+# Fewest rows for which a _family_dp call of two or more step groups starts
+# a helper thread.  Two threads beat one from about 800 rows at int32 and
+# 500 at int64 (n rows, caps n..2n-1, random tables, median of nine
+# alternating rounds on the host above): one thread -> two took 3.0 -> 4.1 ms
+# at 200 rows, 28.9 -> 32.2 ms at 600, 42.6 -> 43.6 ms at 700, 72.7 -> 62.8 ms
+# at 800 and 98.6 -> 85.2 ms at 1000 in int32; 4.0 -> 5.0, 21.9 -> 21.1 and
+# 55.1 -> 44.0 ms at 200, 400 and 600 rows in int64.  Below that the numpy
+# calls are short, and the threads' handoffs of the GIL between them cost
+# more than the second CPU gains.  Every kernel call of `matrix --levels 4`
+# (189 rows at most) and of the small-support paths stays on one thread.
+_DP_HELPER_MIN_ROWS = 800
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _sentinel(values: np.ndarray) -> int:
@@ -313,6 +343,125 @@ def _level1_table(pos, wq_arr, s) -> np.ndarray:
     return l1
 
 
+def _row_blocks(top: int, n: int) -> list[tuple[int, int]]:
+    """Row blocks [u0, u1) of a step group whose first step has the rows below
+    top - 1, from the last to the first.
+
+    A block holds at most ``_DP_BLOCK_ROWS * n`` table entries, its rows
+    times its width top - 1 - u0, so it gains rows as the width shrinks.
+    """
+    blocks, u1 = [], top - 1
+    while u1 > 0:
+        done = top - 1 - u1  # the width the rows past the block take
+        u0 = max(0, u1 - (isqrt(done * done + 4 * _DP_BLOCK_ROWS * n) - done) // 2)
+        blocks.append((u0, u1))
+        u1 = u0
+    return blocks
+
+
+def _dp_group(table, caps, rmax, covers, fam, sentinel, buffer, g, pipeline) -> None:
+    """Step group g of ``_family_dp``: steps r0 = 2 + g * _DP_GROUP_STEPS on.
+
+    The group writes ``covers[g % 2]`` and copies its step-0 covers, block by
+    block, from the last step of group g - 1 in ``covers[1 - g % 2]`` (group
+    0 from the table's last column).
+    ``buffer`` is the worker's scratch space; ``pipeline``, when given, holds
+    each block until group g - 1 has finished every row from its first on.
+    """
+    n = len(caps)
+    r0 = 2 + g * _DP_GROUP_STEPS
+    steps = min(_DP_GROUP_STEPS, rmax + 1 - r0)
+    top = n - r0 + 2  # step r0-1+i has its rows below top-i
+    cov = covers[g % 2]
+    prev = covers[1 - g % 2, -1] if g else table[:n, n - 1]
+    pad = (-1 - table[:top - 1, top - steps:top - 1].max(initial=0) if table.dtype == object
+           else sentinel)
+    rows, sums = buffer
+    hi = top  # the block's rows of the cover buffer, the top row in the first
+    for u0, u1 in _row_blocks(top, n):
+        if pipeline:
+            pipeline.wait(g, u0)
+        cov[0, u0:hi] = prev[u0:hi]
+        cov[1:steps + 1, u0:hi] = pad
+        hi = u0
+        width = top - 1 - u0
+        block = rows[:(u1 - u0) * width].reshape(u1 - u0, width)
+        total = sums[:(u1 - u0) * width].reshape(u1 - u0, width)
+        np.copyto(block, table[u0:u1, u0:top - 1])
+        for i in range(1, min(steps, width) + 1):
+            m = min(u1, top - i) - u0
+            np.add(block[:m], cov[i - 1, u0 + 1:top], out=total[:m])
+            cover = cov[i, u0:u0 + m]
+            np.maximum.reduce(total[:m], axis=1, out=cover)
+            if np.minimum.reduce(cover) < 0:
+                raise RuntimeError(f"sentinel in the {r0 - 1 + i}-group covers "
+                                   "of the partition DP")
+        if pipeline:
+            pipeline.done(g, u0)
+    done = ((caps >= r0) & (caps < r0 + steps)).nonzero()[0]
+    fam[done] = cov[caps[done] - (r0 - 1), done]
+
+
+def _block_buffers(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """One worker's scratch space: a block's table rows and their sums."""
+    return np.empty(_DP_BLOCK_ROWS * n, dtype), np.empty(_DP_BLOCK_ROWS * n, dtype)
+
+
+class _Stopped(Exception):
+    """A worker's next group follows one that failed."""
+
+
+class _Pipeline:
+    """The step groups of one ``_family_dp`` call on two workers: the caller
+    runs the even groups, a helper thread the odd ones."""
+
+    def __init__(self, groups: int, n: int, dtype: np.dtype):
+        self.groups, self.n, self.dtype = groups, n, dtype
+        self.cond = threading.Condition()
+        self.low = [n] * groups  # group g has finished every row >= low[g]
+        self.errors: dict[int, BaseException] = {}
+
+    def wait(self, g: int, u0: int) -> None:
+        """Return once group g - 1 has finished every row >= u0."""
+        with self.cond:
+            while True:
+                if self.errors and min(self.errors) < g:
+                    raise _Stopped
+                if not g or self.low[g - 1] <= u0:
+                    return
+                self.cond.wait()
+
+    def done(self, g: int, u0: int) -> None:
+        """Group g has finished every row >= u0."""
+        with self.cond:
+            self.low[g] = u0
+            self.cond.notify()
+
+    def work(self, group, first: int) -> None:
+        """Run groups first, first + 2, ...; record what the first to fail raises."""
+        g = first
+        try:
+            buffer = _block_buffers(self.n, self.dtype)
+            for g in range(first, self.groups, 2):
+                group(buffer, g, self)
+        except _Stopped:
+            pass
+        except BaseException as exc:
+            # An interrupt stops both workers and is raised first.
+            with self.cond:
+                self.errors[g if isinstance(exc, Exception) else -1] = exc
+                self.cond.notify()
+
+    def run(self, group) -> None:
+        """Run every group; raise the first group's error, as one worker would."""
+        helper = threading.Thread(target=self.work, args=(group, 1), daemon=True)
+        helper.start()
+        self.work(group, 0)  # returns whatever its groups raise, so the join ends
+        helper.join()
+        if self.errors:
+            raise self.errors[min(self.errors)]
+
+
 def _family_dp(table: np.ndarray, n: int, caps) -> np.ndarray:
     """Family numerators for all starts, families covering points t..n-1.
 
@@ -326,12 +475,27 @@ def _family_dp(table: np.ndarray, n: int, caps) -> np.ndarray:
     ``_dp_costs`` gives its transitions in closed form.
 
     Order: the steps run in groups of ``_DP_GROUP_STEPS``, and each group
-    walks the row blocks of ``_DP_BLOCK_ROWS`` rows from the last to the
-    first.  Step r on rows u0..u1-1 reads step r-1's covers at rows above
-    u0 only: the block's own rows, done one step earlier in this pass, and
-    the rows past it, done by the blocks below.  So each block's table rows
-    are copied once per group into one contiguous buffer, and every step of
-    the group is one add of a cover row and one row-wise max on it.
+    walks its row blocks (``_row_blocks``, about ``_DP_BLOCK_ROWS * n``
+    entries each) from the last to the first.  Step r on rows u0..u1-1
+    reads step r-1's covers at rows above u0 only: the block's own rows,
+    done one step earlier in this pass, and the rows past it, done by the
+    blocks before.  So each block's table rows are copied once per group
+    into one contiguous buffer, and every step of the group is one add of
+    a cover row and one row-wise max on it.
+
+    Pipeline: group g writes the cover buffer of its parity, and each of
+    its blocks first copies its own rows of the step-0 covers from the
+    last step of group g - 1, in the other buffer.  A block of group g at
+    rows u0..u1-1 reads group g - 1 only at rows >= u0, so it may start
+    once group g - 1 has finished every row >= u0; the two groups in
+    flight never write each other's rows, and group g + 1 writes a row of
+    the other buffer only after group g has copied it.  With two or more
+    groups, at least ``_DP_HELPER_MIN_ROWS`` rows and two CPUs in the
+    process's affinity, a helper thread runs the odd groups while the
+    caller runs the even ones; otherwise the caller runs them all in order.
+    Each numpy call of a block is long enough that the threads hold the
+    GIL only for the glue between calls.  The values, and which sentinel
+    error is raised, do not depend on the schedule.
 
     Padding: past its step's last row a cover holds a value below minus
     every table value it can meet, so every step reads the block's full
@@ -344,7 +508,7 @@ def _family_dp(table: np.ndarray, n: int, caps) -> np.ndarray:
     as it is made, so no read cover is ever a sentinel and no sum leaves
     the width.
     """
-    caps = [min(p, n - t) for t, p in enumerate(caps[:n])]
+    caps = list(map(min, caps[:n], range(n, 0, -1)))
     sentinel = _sentinel(table[:n, n - 1])
     fam = np.full(n, sentinel, dtype=table.dtype)
     rmax = max(caps, default=0)
@@ -353,33 +517,17 @@ def _family_dp(table: np.ndarray, n: int, caps) -> np.ndarray:
     if table[1:n, n - 1].min() < 0:
         raise RuntimeError("sentinel in the 1-group covers of the partition DP")
     caps = np.array(caps, dtype=np.int64)
-    # covers[i] holds the (r0-1+i)-group covers of the group from step r0 on.
-    covers = np.empty((_DP_GROUP_STEPS + 1, n), dtype=table.dtype)
-    covers[0] = table[:n, n - 1]
-    rows = np.empty(_DP_BLOCK_ROWS * n, dtype=table.dtype)
-    sums = np.empty(_DP_BLOCK_ROWS * n, dtype=table.dtype)
-    for r0 in range(2, rmax + 1, _DP_GROUP_STEPS):
-        steps = min(_DP_GROUP_STEPS, rmax + 1 - r0)
-        top = n - r0 + 2  # step r0-1+i has its rows below top-i
-        covers[1:steps + 1] = (sentinel if table.dtype != object else
-                               -1 - table[:top - 1, top - steps:top - 1].max(initial=0))
-        for u0 in range((top - 2) // _DP_BLOCK_ROWS * _DP_BLOCK_ROWS, -1, -_DP_BLOCK_ROWS):
-            u1 = min(u0 + _DP_BLOCK_ROWS, top - 1)
-            width = top - 1 - u0
-            block = rows[:(u1 - u0) * width].reshape(u1 - u0, width)
-            total = sums[:(u1 - u0) * width].reshape(u1 - u0, width)
-            np.copyto(block, table[u0:u1, u0:top - 1])
-            for i in range(1, min(steps, width) + 1):
-                m = min(u1, top - i) - u0
-                np.add(block[:m], covers[i - 1, u0 + 1:top], out=total[:m])
-                cover = covers[i, u0:u0 + m]
-                total[:m].max(axis=1, out=cover)
-                if cover.min() < 0:
-                    raise RuntimeError(f"sentinel in the {r0 - 1 + i}-group covers "
-                                       "of the partition DP")
-        done = ((caps >= r0) & (caps < r0 + steps)).nonzero()[0]
-        fam[done] = covers[caps[done] - (r0 - 1), done]
-        covers[0] = covers[steps]
+    groups = (rmax + _DP_GROUP_STEPS - 2) // _DP_GROUP_STEPS
+    # covers[p, i] holds the (r0-1+i)-group covers of the group of parity p
+    # from step r0 on.
+    covers = np.empty((min(groups, 2), min(_DP_GROUP_STEPS, rmax - 1) + 1, n), dtype=table.dtype)
+    if groups >= 2 and n >= _DP_HELPER_MIN_ROWS and _cpus() >= 2:
+        group = functools.partial(_dp_group, table, caps, rmax, covers, fam, sentinel)
+        _Pipeline(groups, n, table.dtype).run(group)
+        return fam
+    buffer = _block_buffers(n, table.dtype)
+    for g in range(groups):
+        _dp_group(table, caps, rmax, covers, fam, sentinel, buffer, g, None)
     return fam
 
 

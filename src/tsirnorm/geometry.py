@@ -117,7 +117,8 @@ class PhiVariant(Enum):
         for variant in cls:
             if key == variant.value:
                 return variant
-        raise ValueError(f"unknown phi variant {text!r}")
+        names = " or ".join(repr(variant.value) for variant in cls)
+        raise ValueError(f"unknown phi variant {text!r} (use {names})")
 
 
 def distance_lower(m: NormSpec, n: NormSpec, pool: list[FiniteVector],

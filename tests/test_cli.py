@@ -277,7 +277,8 @@ class TestMatrixStability:
             main(["matrix", "--levels", "4", "--variant", "bogus"])
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
-        assert "tsirnorm matrix: error: argument --variant: invalid parse value: 'bogus'" in err
+        assert ("tsirnorm matrix: error: argument --variant: unknown phi variant 'bogus' "
+                "(use 'logistic' or 'similarity')" in err)
 
 
 class TestPhi:
@@ -437,8 +438,25 @@ class TestRunner:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: tsirnorm {prog(argv)} [-h]")
-        assert (f"tsirnorm {prog(argv)}: error: argument {argv[-2]}: invalid non_negative_int "
-                f"value: '{argv[-1]}'" in err)
+        assert (f"tsirnorm {prog(argv)}: error: argument {argv[-2]}: expected a non-negative "
+                f"integer, got '{argv[-1]}'" in err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("norm", "--spec", "l1", "1:1", "--rule", "bogus"),
+         "argument --rule: unknown admissibility rule 'bogus' (use 'fj' or 'paper')"),
+        (("phi", "eval", "1", "--variant", "bogus"),
+         "argument --variant: unknown phi variant 'bogus' (use 'logistic' or 'similarity')"),
+        (("ratio",), "the following arguments are required: {certificate,search}"),
+        (("phi",), "the following arguments are required: {parse,mpv,eval,realize}"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+    def test_bad_input_reports_what_is_allowed(self, capsys, argv, message):
+        # The library's own message reaches the user, and a missing mode is
+        # named by the modes there are.
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(f"tsirnorm {prog(argv)}: error: {message}\n")
 
     def test_search_candidates_share_the_command_budget(self, capsys):
         # Every candidate charges the command's one budget; the ones after it
