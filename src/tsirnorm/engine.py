@@ -52,26 +52,23 @@ class SmallEvaluator:
         self._value_memo, self._parts_memo, self._start_memo = self.session.memo.setdefault(
             fingerprint, ({}, {}, {}))
         self._first_start = {}
-        # Every level from this one on equals it.  Figiel-Johnson: a window
-        # of m points takes families of windows of at most m - 1 points, so it
-        # is constant from level m - 1 on.  Literal rule: a family at step k+1
-        # needs min E_1 >= k, so none of two or more groups is left once k
-        # reaches the largest support index.
-        self._stable_from = (self.s if rule is AdmissibilityRule.FIGIEL_JOHNSON
-                             else max(pos, default=0) + 1)
 
     # -- public -----------------------------------------------------------
 
     def iterate(self, k: int) -> Fraction:
+        """Level k of the whole support."""
         if self.s == 0:
             return Fraction(0)
-        return Fraction(self._value(0, self.s - 1, min(k, self._stable_from)), self.denominator)
+        if self.rule is AdmissibilityRule.FIGIEL_JOHNSON and k >= self.s - 1:
+            return self.limit()
+        return Fraction(self._value(0, self.s - 1, k), self.denominator)
 
     def limit(self) -> Fraction:
+        """The limit of the levels, which the literal rule reaches at level s + 1."""
         if self.s == 0:
             return Fraction(0)
         if self.rule is AdmissibilityRule.PAPER_LITERAL:
-            return self.iterate(self._stable_from)
+            return self.iterate(self.s + 1)
         return Fraction(self._value(0, self.s - 1, None), self.denominator)
 
     # -- recursion ----------------------------------------------------------
@@ -88,6 +85,9 @@ class SmallEvaluator:
             self.session.charge(1, "ranges_evaluated")
             result = max(self._sup(a, b), self._family_max(a, b, None))
             memo[(a, b, key)] = result
+            return result
+        if key > b - a + 2:  # every level from b - a + 2 on is the same (AdmissibilityRule)
+            result = memo[(a, b, key)] = self._value(a, b, b - a + 2)
             return result
         # Climb this window's levels in a loop from the highest one memoised,
         # so that recursion only enters strictly smaller windows.

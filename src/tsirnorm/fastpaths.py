@@ -52,6 +52,7 @@ __all__ = [
     "level2_top_points",
     "level3_top_points",
     "top_points",
+    "check_table",
     "TABLE_BYTES_LIMIT",
 ]
 
@@ -248,6 +249,14 @@ def level1_runs(runs) -> Fraction:
 # Integer-encoded point tables
 # ---------------------------------------------------------------------------
 
+def check_table(s: int, entry: int) -> None:
+    """Refuse as ``size-limit`` a table of s points at ``entry`` bytes an
+    entry that passes TABLE_BYTES_LIMIT."""
+    if s * s * entry > TABLE_BYTES_LIMIT:
+        raise BudgetExceededError(f"a table of {s} points at {entry} bytes an entry passes "
+                                  f"the {TABLE_BYTES_LIMIT}-byte limit", reason="size-limit")
+
+
 def _width(s: int, total: int, level: int) -> tuple[np.dtype, int]:
     """Width of a level-``level`` table of s points whose numerators sum to
     ``total``, and the budget units one of its transitions weighs.
@@ -265,10 +274,7 @@ def _width(s: int, total: int, level: int) -> tuple[np.dtype, int]:
     bound = total << max(level, 4)
     dtype = np.dtype(np.int32 if bound < 1 << 30 else np.int64 if bound < 1 << 62 else object)
     wide = dtype == object
-    entry = dtype.itemsize + wide * sys.getsizeof(bound)
-    if s * s * entry > TABLE_BYTES_LIMIT:
-        raise BudgetExceededError(f"a table of {s} points at {entry} bytes an entry passes "
-                                  f"the {TABLE_BYTES_LIMIT}-byte limit", reason="size-limit")
+    check_table(s, dtype.itemsize + wide * sys.getsizeof(bound))
     return dtype, 8 + bound.bit_length() // 128 if wide else 1
 
 
@@ -540,9 +546,11 @@ def top_points(pos: list[int], weights: list[Fraction], rule: AdmissibilityRule,
     groups (literal rule: j-1 groups from index j-1 on).  Level k needs one
     DP, over the whole support.  A rung that only doubles its table ends the
     climb; under the literal rule only once every cap j-1 spans its point's
-    whole window, from where the options can only shrink.  Each stage (the
-    level-1 table, a rung, the top DP) is sized and charged before it runs;
-    the level-1 table only with the stage at j = 2, which always follows it.
+    whole window, from where the options can only shrink.  Rung s + 2 only
+    doubles under either rule (``AdmissibilityRule``), so a climb past it
+    raises ``RuntimeError``.  Each stage (the level-1 table, a rung, the top
+    DP) is sized and charged before it runs; the level-1 table only with the
+    stage at j = 2, which always follows it.
     """
     if k is not None and k < 2:
         raise ValueError("the table tower starts at level 2")
@@ -554,6 +562,8 @@ def top_points(pos: list[int], weights: list[Fraction], rule: AdmissibilityRule,
     wq_arr, q = _encode(weights)
     total = sum(wq_arr.tolist())
     for j in itertools.count(2) if k is None else range(2, k + 1):
+        if j > s + 2:  # rung s + 2 only doubles: every level from s + 1 on is the same
+            raise RuntimeError(f"the table tower passed level {s + 2} without a fixed point")
         caps = pos if fj else [j - 1 if p >= j - 1 else 0 for p in pos]
         costs = _dp_costs(caps)
         dtype, weight = _width(s, total, j)

@@ -117,9 +117,7 @@ NormSpec = Ell1 | Sup | Iterate | TsirelsonLimit | Join
 
 def _abs_points(x: FiniteVector) -> tuple[list[int], list[Fraction]]:
     """x's points and absolute weights, refused before they are built if no table of them fits."""
-    if x.support_size ** 2 * 4 > fastpaths.TABLE_BYTES_LIMIT:  # int32, the narrowest width
-        raise BudgetExceededError(f"no exact path at support size {x.support_size}",
-                                  reason="size-limit")
+    fastpaths.check_table(x.support_size, 4)  # int32, the narrowest width
     pos, w = [], []
     for i, v in x.entries():
         pos.append(i)
@@ -202,16 +200,14 @@ def stabilization_level(x: FiniteVector, rule: AdmissibilityRule = _FJ,
                         session: EvalSession | None = None) -> tuple[int, Fraction]:
     """Smallest K with iterate K equal to the limit, plus the limit value.
 
-    For the Figiel-Johnson rule K never exceeds the support size; for the
-    literal rule it never exceeds the largest support index plus one.
+    K never exceeds the support size plus one, under either rule.
     """
     if x.is_zero:
         return 0, Fraction(0)
     session = session or EvalSession()
     levels = _exact(x, None, rule, session)
     limit, tower = levels[-1], x.support_size > _SMALL_CUTOFF
-    hard_cap = x.support_size if rule is _FJ else x.max_index + 1
-    for k in range(hard_cap + 1):
+    for k in range(x.support_size + 2):
         if (levels[k] if tower else iterate_norm(x, k, rule, session)) == limit:
             return k, limit
     raise AssertionError("iterates failed to stabilize below the provable cap")

@@ -62,8 +62,8 @@ def _climb(index, num, k: int | None, rule: AdmissibilityRule) -> tuple[list[int
     """
     s = len(num)
     fj = rule is AdmissibilityRule.FIGIEL_JOHNSON
-    # Figiel-Johnson settles p points by level p - 1; no literal family passes the last index.
-    last = s + 1 if fj else index[-1] + 2
+    # Figiel-Johnson settles s points by level s - 1, the literal rule by s + 1 (AdmissibilityRule).
+    last = s + 1 if fj else s + 2
     chunkings = _chunkings(s)
     # Level 0: the sup of a set is that of the set less its lowest point, or that point.
     value = [0]

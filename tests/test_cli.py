@@ -17,6 +17,14 @@ WIDE_BLOCK = "1000000..3999999:1/1000000"
 # 2601 points over the denominator 65521 * 65519: int64 tables, one point
 # past the table memory limit (2600 int64 points).
 INT64_PAST_TABLE_LIMIT = "2..1301:1/65521,1302..2602:1/65519"
+# The message of each size-limit refusal: the support's table at the
+# narrowest width its values take.
+SIZE_LIMIT_MESSAGES = {
+    "1000000..1999999:1/1000000":
+        "a table of 1000000 points at 4 bytes an entry passes the 54080000-byte limit",
+    INT64_PAST_TABLE_LIMIT:
+        "a table of 2601 points at 8 bytes an entry passes the 54080000-byte limit",
+}
 COUNTERS = {"ranges_evaluated", "dp_transitions", "tables_built", "families_enumerated"}
 
 
@@ -99,10 +107,13 @@ class TestNorm:
         assert set(report["engine_stats"].values()) == {0}
         assert "583835251000 asked for, 0 already used" in err
 
-    @pytest.mark.parametrize("vector", ["900:1,901:1", "2000:1,2001:1"])
+    @pytest.mark.parametrize("vector", ["900:1,901:1", "2000:1,2001:1",
+                                        "1000000000:1,1000000001:1"])
     def test_literal_rule_limit_far_from_the_origin(self, capsys, vector):
-        # The literal rule's limit is its iterate at the largest index + 1.
-        code, out, _ = run(capsys, "norm", "--spec", "tsirelson", "--rule", "paper", vector)
+        # The literal rule's limit is its iterate at level s + 1, wherever the
+        # support lies, so a small budget suffices.
+        code, out, _ = run(capsys, "norm", "--spec", "tsirelson", "--rule", "paper",
+                           "--budget", "1000", vector)
         assert code == 0 and out.strip() == "1"
 
     def test_work_budget_refusal_names_budget(self, capsys):
@@ -131,6 +142,8 @@ class TestNorm:
             assert sum(stats.values()) <= int(argv[argv.index("--budget") + 1])
         refused = report["refused"]
         assert refused["reason"] == reason and refused["message"] in err
+        if reason == "size-limit":
+            assert refused["message"] == SIZE_LIMIT_MESSAGES[argv[-1]]
         assert (refused["lower_bound"] is None) == ("lower bound" not in err)
         if refused["lower_bound"] is not None:
             assert f"best certified lower bound: {refused['lower_bound']}" in err
@@ -351,7 +364,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("vector", ["900:1,901:1", "2000:1,2001:1"])
     def test_literal_limit_far_out(self, capsys, vector):
-        # The literal-rule limit climbs one level per support index.
+        # The literal-rule limit climbs to level s + 2 at most, whatever the indices.
         code, out, _ = run(capsys, "oracle", "--rule", "paper", "--level", "limit", vector)
         assert code == 0 and out.strip() == "1"
 

@@ -183,23 +183,23 @@ def engine_support(size):
 # each on a fresh session.  Pinned: how the engine reuses its memo must never
 # change what it charges.
 ENGINE_WORK = {
-    (8, FJ): [(56, 87, 58), (84, 148, 114), (112, 209, 170), (28, 61, 56)],
-    (8, PL): [(3, 0, 0), (85, 21, 6), (104, 57, 33), (136, 78, 50)],
-    (11, FJ): [(105, 255, 130), (157, 400, 250), (209, 545, 370), (52, 145, 120)],
-    (11, PL): [(3, 0, 0), (199, 55, 10), (263, 301, 212), (559, 1202, 778)],
-    (14, FJ): [(207, 1103, 444), (310, 1975, 875), (413, 2847, 1306), (103, 872, 431)],
-    (14, PL): [(3, 0, 0), (316, 91, 13), (419, 599, 444), (899, 2278, 1500)],
-    (17, FJ): [(263, 1927, 628), (394, 3445, 1241), (525, 4963, 1854), (131, 1518, 613)],
-    (17, PL): [(3, 0, 0), (409, 120, 15), (543, 876, 667), (1306, 4805, 2890)],
-    (20, FJ): [(418, 4299, 1300), (628, 7914, 2630), (838, 11529, 3960), (210, 3615, 1330)],
-    (20, PL): [(3, 0, 0), (631, 190, 19), (819, 1448, 1125), (2075, 9712, 5549)],
-    (24, FJ): [(543, 7694, 1866), (819, 14250, 3890), (1095, 20806, 5914), (276, 6556, 2024)],
-    (24, PL): [(3, 0, 0), (829, 253, 22), (1080, 2193, 1753), (3196, 23340, 11655)],
+    (8, FJ): [(56, 87, 58), (84, 148, 114), (105, 209, 170), (28, 61, 56)],
+    (8, PL): [(3, 0, 0), (85, 21, 6), (98, 57, 33), (103, 75, 46)],
+    (11, FJ): [(105, 255, 130), (157, 400, 250), (198, 545, 370), (52, 145, 120)],
+    (11, PL): [(3, 0, 0), (199, 55, 10), (252, 301, 212), (338, 1136, 606)],
+    (14, FJ): [(207, 1103, 444), (310, 1975, 875), (399, 2847, 1306), (103, 872, 431)],
+    (14, PL): [(3, 0, 0), (316, 91, 13), (405, 599, 444), (539, 2158, 1142)],
+    (17, FJ): [(263, 1927, 628), (394, 3445, 1241), (509, 4963, 1854), (131, 1518, 613)],
+    (17, PL): [(3, 0, 0), (409, 120, 15), (527, 876, 667), (791, 4657, 2307)],
+    (20, FJ): [(418, 4299, 1300), (628, 7914, 2630), (818, 11529, 3960), (210, 3615, 1330)],
+    (20, PL): [(3, 0, 0), (631, 190, 19), (800, 1448, 1125), (1243, 9426, 4329)],
+    (24, FJ): [(543, 7694, 1866), (819, 14250, 3890), (1072, 20806, 5914), (276, 6556, 2024)],
+    (24, PL): [(3, 0, 0), (829, 253, 22), (1058, 2193, 1753), (1914, 22898, 9228)],
 }
 # One session shared by all of them, in the order of the test: its running
 # totals after each support.
-ENGINE_SHARED_WORK = [(276, 348, 276), (1096, 2240, 1544), (2511, 8237, 4781),
-                      (4473, 19523, 10138), (7596, 44379, 20977), (12163, 95081, 40570)]
+ENGINE_SHARED_WORK = [(236, 345, 272), (824, 2171, 1368), (1865, 8048, 4247),
+                      (3296, 19186, 9021), (5567, 43756, 18640), (8829, 94016, 35806)]
 
 
 class TestIntegerNumerators:
@@ -238,9 +238,10 @@ class TestIntegerNumerators:
 
     def test_parity_guard_refuses_odd_numerator(self):
         # D = 2**2 * 1; an odd numerator in a piece makes the family sum odd.
+        # Level 1 of two points is their limit, which reads the pieces' limits.
         se = SmallEvaluator([2, 3], [F(1), F(1)], FJ)
         assert se.denominator == 4
-        se._value_memo[(0, 0, 0)] = 3
+        se._value_memo[(0, 0, None)] = 3
         with pytest.raises(RuntimeError, match="odd family numerator"):
             se.iterate(1)
 
@@ -297,13 +298,30 @@ class TestIntegerNumerators:
 
     @pytest.mark.parametrize("rule", [FJ, PL])
     def test_climb_stops_at_the_stable_level(self, rule):
-        # Every level from s (Figiel-Johnson) or the largest index + 1 (the
-        # literal rule) on is the same, so a far level climbs no further.
+        # Every level from s - 1 (Figiel-Johnson) or s + 1 (the literal rule)
+        # on is the same, so a far level climbs no further.
         pos, w = engine_support(8)
-        stable = 8 if rule is FJ else pos[-1] + 1
+        stable = 7 if rule is FJ else 9
         far, near = EvalSession(), EvalSession()
         assert engine_value(pos, w, rule, 10 ** 6, far) == engine_value(pos, w, rule, stable, near)
         assert far.stats == near.stats and far.used == near.used
+
+    def test_engine_matches_oracle_far_from_the_origin(self):
+        # Supports near index 10**9: every level to s + 3, both limits and the
+        # stabilization level, which is at most s + 1 under either rule.
+        rng = random.Random(26)
+        for s in [*range(1, 9), *range(1, 9)]:
+            start = 10 ** 9 - rng.randint(0, 2 * s)
+            pos = sorted(rng.sample(range(start, start + 2 * s), s))
+            w = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in pos]
+            x = vec(dict(zip(pos, w)))
+            for rule in (FJ, PL):
+                levels = [*range(s + 4), None]
+                session = EvalSession()
+                values = [engine_value(pos, w, rule, k, session) for k in levels]
+                assert values == [brute_force_norm(x, k, rule) for k in levels], (x, rule)
+                stable = values.index(values[-1])
+                assert stabilization_level(x, rule) == (stable, values[-1]) and stable <= s + 1
 
     def test_families_enumerated_is_charged(self, rng):
         for _ in range(20):
@@ -348,7 +366,8 @@ class TestFastPathAgreement:
     def test_tower_matches_generic(self, rng, monkeypatch):
         # 29-40 points, both rules: every level the tower climbs, levels
         # 2-6, the limit and the stabilization level through the dispatcher.
-        # Far-out indices make the literal rule climb past the support size.
+        # Far-out indices make the literal rule climb past the support size;
+        # on the support that starts near 10**9 it still ends by level s + 2.
         # In the last case the numerators over the prime q = 2**31 - 1 sum
         # to 2**26 - 1: the tables start in int32 and that climb widens them
         # to int64 at level 5 and to Python ints at level 37.
@@ -361,6 +380,7 @@ class TestFastPathAgreement:
         for size, first, w in (
                 (29, 1, [F(1, rng.choice(PRIMES[:5])) for _ in range(29)]),
                 (35, 25, [F(1, rng.choice(PRIMES[:5])) for _ in range(35)]),
+                (30, 10 ** 9 - 7, [F(1 + i % 3, PRIMES[i % 4]) for i in range(30)]),
                 (40, 60, [F(b - a, q) for a, b in zip([0] + cuts, cuts + [total])])):
             pos = sorted(rng.sample(range(first, first + 2 * size), size))
             x = FiniteVector.from_entries(dict(zip(pos, w)))
@@ -397,6 +417,17 @@ class TestFastPathAgreement:
         if len(pos) <= 8:
             x = FiniteVector.from_entries(dict(zip(pos, w)))
             assert levels[-1] == brute_force_norm(x, None, PL)
+
+    def test_tower_climb_past_level_s_plus_2_raises(self, monkeypatch):
+        # Rung s + 2 only doubles its table under either rule.  A rung that
+        # never compares equal breaks that invariant: the climb raises at
+        # level s + 3 instead of running until the budget refuses it.
+        monkeypatch.setattr(np, "array_equal", lambda *args: False)
+        pos, w = [3, 4, 5], [F(1), F(1, 2), F(1, 3)]
+        for rule in (FJ, PL):
+            for k in (None, 9):
+                with pytest.raises(RuntimeError, match="^the table tower passed level 5 "):
+                    fastpaths.top_points(pos, w, rule, k, EvalSession(10 ** 5))
 
     @pytest.mark.parametrize("total, dtype", [
         ((1 << 26) - 1, np.int32), (1 << 26, np.int64), ((1 << 26) + 5, np.int64),
