@@ -7,12 +7,16 @@ Two families of shortcuts:
   work is polynomial in the number of runs);
 * one integer table tower, ``top_points``, for every level from 2 on, the
   limit and both rules on explicit point supports, each stage charged to
-  the work budget at its exact cost before it runs.  Values are numerators
+  the work budget before it runs, at the size of its full recurrence (an
+  upper bound on the steps its kernel makes).  Values are numerators
   over one common denominator in the narrowest width a bound on them
   certifies: int32, int64, or Python ints in an object array, widened as
   the climb doubles them.  Each rung runs one max-plus partition kernel,
-  ``_family_dp``, per right end; the requested level runs it once.  The
-  kernel runs its steps in groups: each group copies every block of table
+  ``_family_dp``, per right end; the requested level runs it once.  A row
+  whose cap spans its whole window has one cover, each point its own group:
+  the kernel takes it from a suffix sum of the table's diagonal, checked for
+  sentinels, and runs its steps only up to the largest cap of the other
+  rows.  It runs them in groups: each group copies every block of table
   rows (about 64 full rows' worth of entries, so narrower blocks have more
   rows) once into a contiguous buffer, from the last block to the first,
   and runs each step of the group on it as one numpy add and one row-wise
@@ -286,8 +290,12 @@ def _encode(weights) -> tuple[np.ndarray, int]:
 
 
 def _dp_costs(caps: list[int]) -> list[int]:
-    """Transitions of ``_family_dp(table, n, caps)`` for n = 1, 2, ..., len(caps).
+    """Size of the recurrence of ``_family_dp(table, n, caps)`` for n = 1, 2,
+    ..., len(caps): the work charged for each call.
 
+    This bounds the transitions the kernel makes from above: it counts the
+    steps up to the largest cap, forced rows included, while the kernel sums
+    the forced rows' diagonals and stops at the largest unforced cap.
     Step r on n points makes (n-r+1)(n-r+2)/2 transitions, for r from 2 to
     the largest cap min(caps[t], n-t): tet(n-1) - tet(n-rmax) in all, with
     tet(m) = m(m+1)(m+2)/6.  One more point raises rmax by at most one, and
@@ -478,7 +486,16 @@ def _family_dp(table: np.ndarray, n: int, caps) -> np.ndarray:
     sentinel where fewer than two groups are admissible.  Step r adds one
     leading group to the (r-1)-group covers: cover_r[u] = max over c in
     u..n-r of table[u, c] + cover_{r-1}[c+1], for every row u <= n-r.
-    ``_dp_costs`` gives its transitions in closed form.
+    ``_dp_costs`` gives the size of that recurrence in closed form, an upper
+    bound on the transitions made.
+
+    Forced rows: a row t < n-1 with min(caps[t], n-t) == n-t has one cover
+    only, every point its own group, so its (n-t)-group cover is the sum of
+    the diagonal table[c, c] over c in t..n-1.  The forced rows take those
+    values from one reversed cumulative sum of the diagonal, their caps drop
+    to 0, and the steps run only up to the largest remaining cap: none when
+    every row is forced.  Under either rule the forced rows are a suffix of
+    the support, but they are marked row by row, so any caps are served.
 
     Order: the steps run in groups of ``_DP_GROUP_STEPS``, and each group
     walks its row blocks (``_row_blocks``, about ``_DP_BLOCK_ROWS * n``
@@ -510,19 +527,31 @@ def _family_dp(table: np.ndarray, n: int, caps) -> np.ndarray:
     meet it.  A sentinel below the diagonal then only meets a real cover,
     never negative, and a padded cover only a real value above it.
 
-    Guard: the one-group covers are checked once and every cover segment
-    as it is made, so no read cover is ever a sentinel and no sum leaves
-    the width.
+    Guard: the one-group covers are checked once, the diagonal from the
+    first forced row on once, and every cover segment as it is made, so no
+    read cover or summed diagonal entry is ever a sentinel and no sum
+    leaves the width.
     """
     caps = list(map(min, caps[:n], range(n, 0, -1)))
     sentinel = _sentinel(table[:n, n - 1])
     fam = np.full(n, sentinel, dtype=table.dtype)
-    rmax = max(caps, default=0)
-    if rmax < 2:
+    if max(caps, default=0) < 2:
         return fam
     if table[1:n, n - 1].min() < 0:
         raise RuntimeError("sentinel in the 1-group covers of the partition DP")
     caps = np.array(caps, dtype=np.int64)
+    forced = caps == np.arange(n, 0, -1)
+    forced[-1] = False  # the last point's one group is no family
+    if forced.any():
+        first = int(forced.argmax())
+        diagonal = table.diagonal()[first:n]
+        if diagonal.min() < 0:
+            raise RuntimeError("sentinel on the diagonal of the forced covers of the partition DP")
+        fam[forced] = np.cumsum(diagonal[::-1], dtype=table.dtype)[::-1][forced[first:]]
+        caps[forced] = 0
+    rmax = int(caps.max())
+    if rmax < 2:
+        return fam
     groups = (rmax + _DP_GROUP_STEPS - 2) // _DP_GROUP_STEPS
     # covers[p, i] holds the (r0-1+i)-group covers of the group of parity p
     # from step r0 on.

@@ -97,8 +97,11 @@ def test_criterion_2_inductive_step(capsys):
     ok &= lines["|z_1|_2"].left == F(1, 2) and lines["|z_1|_2"].status == "exact"
     ok &= lines["|z_2|_2"].left == F(1, 2) and lines["|z_2|_2"].status == "exact"
     ok &= lines["|z|_2"].left <= 1 and lines["|z|_2"].status == "exact"
-    # The exact value and the kernel's work: a change to either the partition
-    # kernel or the dispatch that moves the transition count fails here.
+    # The exact value and the work charged for it: the pinned count is the
+    # charge, the full recurrence's size, an upper bound on the transitions
+    # the kernel makes (its forced rows take a diagonal sum instead of their
+    # steps).  A change to the charge or to the dispatch that moves it fails
+    # here.
     ok &= lines["|z|_2"].left == F(83926, 113155)
     ok &= session.stats["dp_transitions"] == 1_562_494_928
     ok &= lines["|z|_3"].left >= F(1, 2)

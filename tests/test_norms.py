@@ -607,10 +607,13 @@ GROUPED_SHAPES = [
 
 def assert_grouped_kernel_matches_per_row(rng, n, rmax):
     """The kernel against the per-row loop on caps whose largest is rmax, at
-    every width.
+    every width; returns the largest unforced cap, the last step the kernel
+    runs.
 
-    Rows past n - rmax mix forced caps (past their point's window) with
-    smaller ones; one row before them reaches rmax without being forced.
+    Rows past n - rmax mix forced caps (at or past their point's window)
+    with smaller ones; one row before them reaches rmax without being
+    forced.  With n == rmax row 0 is forced, and row 1 takes n - 2, the
+    largest cap a row can have unforced there.
     """
     caps = [rng.randint(0, rmax) for _ in range(n - rmax)]
     caps += [n - t + rng.randint(0, 2) if rng.random() < 0.5 else rng.randint(0, n - t)
@@ -618,7 +621,7 @@ def assert_grouped_kernel_matches_per_row(rng, n, rmax):
     if n > rmax:
         caps[rng.randrange(n - rmax)] = rmax
     else:
-        caps[0] = n
+        caps[:2] = [n, n - 2]
     assert max(min(c, n - t) for t, c in enumerate(caps)) == rmax
     for dtype in WIDTHS:
         # The second table keeps its last column near zero, far below the
@@ -627,6 +630,13 @@ def assert_grouped_kernel_matches_per_row(rng, n, rmax):
         low_last_column[:, n - 1] //= 10 ** 6
         for table in (random_group_table(rng, n, dtype), low_last_column):
             assert_kernel_matches_per_row(table, n, caps)
+    return max((c for t, c in enumerate(caps) if c < n - t), default=0)
+
+
+def unforced_caps(n):
+    """Caps one below each point's window: every row runs the steps, up to
+    step n - 1 on row 0."""
+    return [n - 1 - t for t in range(n)]
 
 
 @pytest.fixture
@@ -696,11 +706,12 @@ class TestFamilyKernel:
         (4 * GROUP + 2, 4 * GROUP + 1),
     ])
     def test_two_worker_schedule_matches_per_row_recurrence(self, rng, two_workers, n, rmax):
-        # The caller runs the even groups and the helper the odd ones.
-        assert_grouped_kernel_matches_per_row(rng, n, rmax)
+        # The caller runs the even groups and the helper the odd ones; the
+        # steps stop at the largest unforced cap.
+        unforced = assert_grouped_kernel_matches_per_row(rng, n, rmax)
         caller = threading.get_ident()
         assert {(g, thread == caller) for g, thread in two_workers} == {
-            (g, g % 2 == 0) for g in range((rmax + GROUP - 2) // GROUP)}
+            (g, g % 2 == 0) for g in range((unforced + GROUP - 2) // GROUP)}
 
     def test_two_workers_on_blocks_straddling_the_previous_groups(self, rng, two_workers):
         # A block of the second group spans a block boundary of the first, so
@@ -755,12 +766,41 @@ class TestFamilyKernel:
     def test_sentinel_in_a_later_step_is_refused(self, rng):
         # Row u's one-group cover (the last column) stays real, so only the
         # check of each step's covers sees its 2-group cover leave the width.
+        # Every cap stays one below its point's window: no row is forced.
         n, u = 40, 7
         for dtype in WIDTHS:
             table = random_group_table(rng, n, dtype)
             table[u, u:n - 1] = table[n - 1, 0]  # sentinels from below the diagonal
             with pytest.raises(RuntimeError, match="^sentinel in the 2-group covers "):
-                fastpaths._family_dp(table, n, list(range(n, 2 * n)))
+                fastpaths._family_dp(table, n, unforced_caps(n))
+
+    @pytest.mark.parametrize("first", [0, 20], ids=["all", "suffix"])
+    def test_sentinel_on_a_forced_diagonal_is_refused(self, rng, first):
+        # Rows from `first` on are forced: their covers sum the diagonal,
+        # which no step reads, so it is checked on its own.
+        n = 40
+        caps = unforced_caps(n)[:first] + [n - t for t in range(first, n)]
+        for dtype in WIDTHS:
+            table = random_group_table(rng, n, dtype)
+            table[30, 30] = table[n - 1, 0]  # a sentinel from below the diagonal
+            with pytest.raises(RuntimeError, match="^sentinel on the diagonal "):
+                fastpaths._family_dp(table, n, caps)
+
+    def test_steps_stop_at_the_largest_unforced_cap(self, rng, two_workers):
+        # A call runs the step groups up to its largest unforced cap r,
+        # (r + 30) // 32 of them, and none when every row is forced.
+        n = 2 * BLOCK + 2
+        for dtype in WIDTHS:
+            table = random_group_table(rng, n, dtype)
+            del two_workers[:]
+            fastpaths._family_dp(table, n, list(range(n, 2 * n)))
+            assert two_workers == []
+            for r in (0, 1, 2, GROUP + 1, GROUP + 2, n - 1):
+                caps = [n - t + rng.randint(0, 2) for t in range(n)]
+                caps[rng.randrange(n - r)] = r
+                del two_workers[:]
+                fastpaths._family_dp(table, n, caps)
+                assert sorted(g for g, _ in two_workers) == list(range((r + GROUP - 2) // GROUP))
 
     @pytest.mark.parametrize("plants, step, worker", [
         # Row 7's 2-group cover is a sentinel: the caller's first group.
@@ -782,7 +822,7 @@ class TestFamilyKernel:
                 table[u, u:end] = table[n - 1, 0]  # sentinels from below the diagonal
             del two_workers[:]
             before = threading.active_count()
-            call = call_in_a_thread(lambda: fastpaths._family_dp(table, n, list(range(n, 2 * n))))
+            call = call_in_a_thread(lambda: fastpaths._family_dp(table, n, unforced_caps(n)))
             assert threading.active_count() == before
             error = call["error"]
             assert isinstance(error, RuntimeError)
@@ -794,14 +834,15 @@ class TestFamilyKernel:
             with monkeypatch.context() as one_worker:
                 one_worker.setattr(fastpaths, "_DP_HELPER_MIN_ROWS", n + 1)
                 with pytest.raises(RuntimeError) as alone:
-                    fastpaths._family_dp(table, n, list(range(n, 2 * n)))
+                    fastpaths._family_dp(table, n, unforced_caps(n))
             assert str(alone.value) == str(error)
 
     @pytest.mark.parametrize("worker", [0, 1], ids=["caller", "helper"])
     def test_interrupt_in_either_worker_stops_both(self, rng, monkeypatch, two_workers, worker):
         # An interrupt raised in group 2 (the caller's) or 3 (the helper's) is
         # raised in the caller, and the last group, 4, never runs.
-        n = 4 * GROUP + 2
+        n = 4 * GROUP + 3
+        assert (n - 1 + GROUP - 2) // GROUP == 5
         table = random_group_table(rng, n, np.int64)
         group = fastpaths._dp_group
 
@@ -812,7 +853,7 @@ class TestFamilyKernel:
 
         monkeypatch.setattr(fastpaths, "_dp_group", interrupted)
         before = threading.active_count()
-        call = call_in_a_thread(lambda: fastpaths._family_dp(table, n, list(range(n, 2 * n))))
+        call = call_in_a_thread(lambda: fastpaths._family_dp(table, n, unforced_caps(n)))
         assert threading.active_count() == before
         assert isinstance(call["error"], KeyboardInterrupt)
         assert 4 not in {g for g, _ in two_workers}
@@ -822,8 +863,8 @@ class TestFamilyKernel:
         # 10-microsecond switch interval interleaves the workers' glue between
         # numpy calls.  A block that read covers before they were final would
         # change a value.
-        n = 4 * GROUP + 2
-        caps = list(range(n, 2 * n))
+        n = 4 * GROUP + 3
+        caps = unforced_caps(n)
         tables = [random_group_table(rng, n, np.int64) for _ in range(4)]
         with monkeypatch.context() as one_worker:
             one_worker.setattr(fastpaths, "_DP_HELPER_MIN_ROWS", n + 1)
