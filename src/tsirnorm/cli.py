@@ -200,7 +200,9 @@ def _rule(p):
 
 def _budget(p):
     p.add_argument("--budget", type=_option_type(non_negative_int), default=None,
-                   help="work-unit budget for exact evaluation (default: the library's)")
+                   help="work-unit budget for exact evaluation (default: the library's); "
+                   "a partition DP is charged its full recurrence, forced rows included, "
+                   "which can exceed the steps it runs")
 
 
 def _seed(p):

@@ -480,10 +480,10 @@ def _family_dp(table: np.ndarray, n: int, caps) -> np.ndarray:
     """Family numerators for all starts, families covering points t..n-1.
 
     ``table[u, c]`` is the group value of points u..c (sentinel below the
-    diagonal) and ``caps[t]`` the most groups a family starting at point t
-    may have.  Returns fam[t] = best cover of points t..n-1 by
-    min(caps[t], n-t) groups, in the table's denominator and dtype, or the
-    sentinel where fewer than two groups are admissible.  Step r adds one
+    diagonal) and ``caps[t]``, an int64 value, the most groups a family
+    starting at point t may have.  Returns fam[t] = best cover of points
+    t..n-1 by min(caps[t], n-t) groups, in the table's denominator and
+    dtype, or the sentinel where fewer than two groups are admissible.  Step r adds one
     leading group to the (r-1)-group covers: cover_r[u] = max over c in
     u..n-r of table[u, c] + cover_{r-1}[c+1], for every row u <= n-r.
     ``_dp_costs`` gives the size of that recurrence in closed form, an upper
@@ -532,26 +532,28 @@ def _family_dp(table: np.ndarray, n: int, caps) -> np.ndarray:
     read cover or summed diagonal entry is ever a sentinel and no sum
     leaves the width.
     """
-    caps = list(map(min, caps[:n], range(n, 0, -1)))
+    window = np.arange(n, 0, -1)
+    caps = np.minimum(caps[:n], window)
     sentinel = _sentinel(table[:n, n - 1])
     fam = np.full(n, sentinel, dtype=table.dtype)
-    if max(caps, default=0) < 2:
+    rmax = int(caps.max(initial=0))
+    if rmax < 2:
         return fam
     if table[1:n, n - 1].min() < 0:
         raise RuntimeError("sentinel in the 1-group covers of the partition DP")
-    caps = np.array(caps, dtype=np.int64)
-    forced = caps == np.arange(n, 0, -1)
+    forced = caps == window
     forced[-1] = False  # the last point's one group is no family
-    if forced.any():
-        first = int(forced.argmax())
+    first = int(forced.argmax())
+    if forced[first]:
         diagonal = table.diagonal()[first:n]
         if diagonal.min() < 0:
             raise RuntimeError("sentinel on the diagonal of the forced covers of the partition DP")
-        fam[forced] = np.cumsum(diagonal[::-1], dtype=table.dtype)[::-1][forced[first:]]
-        caps[forced] = 0
-    rmax = int(caps.max())
-    if rmax < 2:
-        return fam
+        forced = forced[first:]
+        fam[first:][forced] = np.add.accumulate(diagonal[::-1], dtype=table.dtype)[::-1][forced]
+        caps[first:][forced] = 0
+        rmax = int(caps.max())
+        if rmax < 2:
+            return fam
     groups = (rmax + _DP_GROUP_STEPS - 2) // _DP_GROUP_STEPS
     # covers[p, i] holds the (r0-1+i)-group covers of the group of parity p
     # from step r0 on.
@@ -593,8 +595,11 @@ def top_points(pos: list[int], weights: list[Fraction], rule: AdmissibilityRule,
     for j in itertools.count(2) if k is None else range(2, k + 1):
         if j > s + 2:  # rung s + 2 only doubles: every level from s + 1 on is the same
             raise RuntimeError(f"the table tower passed level {s + 2} without a fixed point")
-        caps = pos if fj else [j - 1 if p >= j - 1 else 0 for p in pos]
+        # An index past s caps no family further; the kernel calls of a rung
+        # share one int64 array of the caps.
+        caps = [min(p, s) for p in pos] if fj else [j - 1 if p >= j - 1 else 0 for p in pos]
         costs = _dp_costs(caps)
+        caps = np.array(caps, dtype=np.int64)
         dtype, weight = _width(s, total, j)
         units = costs[-1] if j == k else sum(costs)
         if j == 2:

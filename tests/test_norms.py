@@ -397,6 +397,19 @@ class TestFastPathAgreement:
         assert list(dict.fromkeys(widths)) == [np.dtype(np.int32), np.dtype(np.int64),
                                                np.dtype(object)]
 
+    def test_tower_on_indices_past_int64(self, rng):
+        # An index past the support size caps no family further under
+        # either rule, so moving the last 20 of 30 points past 2**64 from
+        # just past the support size changes no level.  The first 10 points
+        # keep small indices, so their rows run the kernel's steps.
+        start = sorted(rng.sample(range(1, 20), 10))
+        offsets = sorted(rng.sample(range(40), 20))
+        w = [F(1, rng.randint(1, 9)) for _ in range(30)]
+        for rule in (FJ, PL):
+            near = fastpaths.top_points(start + [32 + o for o in offsets], w, rule, None)
+            far = fastpaths.top_points(start + [(1 << 64) + o for o in offsets], w, rule, None)
+            assert far == near
+
     @pytest.mark.parametrize("pos, w", [
         ([2, 3, 5, 13, 14, 15, 19], [F(1), F(5, 2), F(7, 2), F(1), F(1), F(6), F(2, 3)]),
         ([1, 2, 5, 7, 10, 11, 16], [F(3), F(1), F(3, 2), F(1, 2), F(1, 2), F(3), F(1)]),
