@@ -1,5 +1,4 @@
 import random
-import re
 import sys
 import threading
 from fractions import Fraction as F
@@ -615,6 +614,10 @@ GROUPED_SHAPES = [
     (2 * GROUP + 2, 2 * GROUP + 1), (BLOCK, GROUP + 1), (BLOCK + 1, GROUP + 2),
     (BLOCK + 2, GROUP), (BLOCK + 2, BLOCK + 2), (2 * BLOCK + 2, 2 * GROUP + 2),
     (2 * BLOCK + 2, GROUP + GROUP // 2), (2 * BLOCK + 2, 2 * BLOCK + 2),
+    # Three and four groups: a full group's last step is copied out of the
+    # cover buffer the next group writes.
+    (3 * GROUP + 2, 3 * GROUP + 1), (4 * GROUP + 2, 3 * GROUP + 2),
+    (4 * GROUP + 2, 4 * GROUP + 1),
 ]
 
 
@@ -652,46 +655,6 @@ def unforced_caps(n):
     return [n - 1 - t for t in range(n)]
 
 
-@pytest.fixture
-def two_workers(monkeypatch):
-    """Every kernel call of two or more step groups starts the helper thread.
-
-    Returns the list of the (group, thread ident) pairs of the groups run.
-    """
-    monkeypatch.setattr(fastpaths, "_DP_HELPER_MIN_ROWS", 0)
-    monkeypatch.setattr(fastpaths, "_cpus", lambda: 2)
-    ran = []
-    group = fastpaths._dp_group
-
-    def recording(*args):
-        ran.append((args[-2], threading.get_ident()))
-        return group(*args)
-
-    monkeypatch.setattr(fastpaths, "_dp_group", recording)
-    return ran
-
-
-def call_in_a_thread(call):
-    """Run ``call`` in a thread of its own; its ident and error, if any.
-
-    Fails if the call has not returned within a minute.
-    """
-    box = {}
-
-    def target():
-        box["caller"] = threading.get_ident()
-        try:
-            call()
-        except BaseException as exc:
-            box["error"] = exc
-
-    thread = threading.Thread(target=target)
-    thread.start()
-    thread.join(60)
-    assert not thread.is_alive(), "the kernel call did not return"
-    return box
-
-
 class TestFamilyKernel:
     # Each test runs on every table width.
     def test_sentinels(self):
@@ -711,30 +674,6 @@ class TestFamilyKernel:
     @pytest.mark.parametrize("n, rmax", GROUPED_SHAPES)
     def test_grouped_kernel_matches_per_row_recurrence(self, rng, n, rmax):
         assert_grouped_kernel_matches_per_row(rng, n, rmax)
-
-    @pytest.mark.parametrize("n, rmax", GROUPED_SHAPES + [
-        # Three and four groups: the caller runs two groups, and with four
-        # groups so does the helper.
-        (3 * GROUP + 2, 3 * GROUP + 1), (4 * GROUP + 2, 3 * GROUP + 2),
-        (4 * GROUP + 2, 4 * GROUP + 1),
-    ])
-    def test_two_worker_schedule_matches_per_row_recurrence(self, rng, two_workers, n, rmax):
-        # The caller runs the even groups and the helper the odd ones; the
-        # steps stop at the largest unforced cap.
-        unforced = assert_grouped_kernel_matches_per_row(rng, n, rmax)
-        caller = threading.get_ident()
-        assert {(g, thread == caller) for g, thread in two_workers} == {
-            (g, g % 2 == 0) for g in range((unforced + GROUP - 2) // GROUP)}
-
-    def test_two_workers_on_blocks_straddling_the_previous_groups(self, rng, two_workers):
-        # A block of the second group spans a block boundary of the first, so
-        # it waits for both of the first group's blocks it reads.
-        n, rmax = 2 * BLOCK + 2, GROUP + 2
-        first = fastpaths._row_blocks(n, n)
-        second = fastpaths._row_blocks(n - GROUP, n)
-        assert any(u0 < a0 < u1 for u0, u1 in second for a0, _ in first if a0)
-        assert_grouped_kernel_matches_per_row(rng, n, rmax)
-        assert {g for g, thread in two_workers if thread != threading.get_ident()} == {1}
 
     def test_closed_form_cost_matches_per_row_steps(self, rng):
         # A rung runs the kernel on points 0..b for every right end b, the
@@ -777,15 +716,27 @@ class TestFamilyKernel:
                 fastpaths._family_dp(table, n, list(range(n, 2 * n)))
 
     def test_sentinel_in_a_later_step_is_refused(self, rng):
-        # Row u's one-group cover (the last column) stays real, so only the
-        # check of each step's covers sees its 2-group cover leave the width.
+        # Row 7's one-group cover (the last column) stays real, so only the
+        # check of each step's covers sees a later cover leave the width.
         # Every cap stays one below its point's window: no row is forced.
-        n, u = 40, 7
-        for dtype in WIDTHS:
-            table = random_group_table(rng, n, dtype)
-            table[u, u:n - 1] = table[n - 1, 0]  # sentinels from below the diagonal
-            with pytest.raises(RuntimeError, match="^sentinel in the 2-group covers "):
-                fastpaths._family_dp(table, n, unforced_caps(n))
+        assert fastpaths._row_blocks(200, 200)[-1][1] < 100
+        for n, plants, step in [
+            # Row 7's 2-group cover is a sentinel.
+            (40, [(7, -1)], 2),
+            (200, [(7, -1)], 2),
+            # Row 7 keeps a real option up to step GROUP + 1, the end of the
+            # first group, and loses it at the second group's first step.
+            (200, [(7, -GROUP - 1)], GROUP + 2),
+            # Both: row 100, in an earlier block than row 7, fails only in
+            # the second group, so the first group's error is raised.
+            (200, [(7, -1), (100, -GROUP - 1)], 2),
+        ]:
+            for dtype in WIDTHS:
+                table = random_group_table(rng, n, dtype)
+                for u, end in plants:
+                    table[u, u:end] = table[n - 1, 0]  # sentinels from below the diagonal
+                with pytest.raises(RuntimeError, match=f"^sentinel in the {step}-group covers "):
+                    fastpaths._family_dp(table, n, unforced_caps(n))
 
     @pytest.mark.parametrize("first", [0, 20], ids=["all", "suffix"])
     def test_sentinel_on_a_forced_diagonal_is_refused(self, rng, first):
@@ -799,89 +750,39 @@ class TestFamilyKernel:
             with pytest.raises(RuntimeError, match="^sentinel on the diagonal "):
                 fastpaths._family_dp(table, n, caps)
 
-    def test_steps_stop_at_the_largest_unforced_cap(self, rng, two_workers):
+    def test_steps_stop_at_the_largest_unforced_cap(self, rng, monkeypatch):
         # A call runs the step groups up to its largest unforced cap r,
         # (r + 30) // 32 of them, and none when every row is forced.
+        ran = []
+        group = fastpaths._dp_group
+
+        def recording(*args):
+            ran.append(args[-1])
+            return group(*args)
+
+        monkeypatch.setattr(fastpaths, "_dp_group", recording)
         n = 2 * BLOCK + 2
         for dtype in WIDTHS:
             table = random_group_table(rng, n, dtype)
-            del two_workers[:]
+            del ran[:]
             fastpaths._family_dp(table, n, list(range(n, 2 * n)))
-            assert two_workers == []
+            assert ran == []
             for r in (0, 1, 2, GROUP + 1, GROUP + 2, n - 1):
                 caps = [n - t + rng.randint(0, 2) for t in range(n)]
                 caps[rng.randrange(n - r)] = r
-                del two_workers[:]
+                del ran[:]
                 fastpaths._family_dp(table, n, caps)
-                assert sorted(g for g, _ in two_workers) == list(range((r + GROUP - 2) // GROUP))
+                assert ran == list(range((r + GROUP - 2) // GROUP))
 
-    @pytest.mark.parametrize("plants, step, worker", [
-        # Row 7's 2-group cover is a sentinel: the caller's first group.
-        ([(7, -1)], 2, "caller"),
-        # Row 7 keeps a real option up to step GROUP + 1, the end of the
-        # first group, and loses it at the helper's first step.
-        ([(7, -GROUP - 1)], GROUP + 2, "helper"),
-        # Both: the helper meets row 100 while the caller is still on its
-        # last block, which holds row 7; the first group's error is raised.
-        ([(7, -1), (100, -GROUP - 1)], 2, "caller"),
-    ], ids=["caller", "helper", "both"])
-    def test_sentinel_met_by_either_worker_is_refused_in_the_caller(
-            self, rng, monkeypatch, two_workers, plants, step, worker):
-        n = 200
-        assert fastpaths._row_blocks(n, n)[-1][1] < 100
-        for dtype in WIDTHS:
-            table = random_group_table(rng, n, dtype)
-            for u, end in plants:
-                table[u, u:end] = table[n - 1, 0]  # sentinels from below the diagonal
-            del two_workers[:]
-            before = threading.active_count()
-            call = call_in_a_thread(lambda: fastpaths._family_dp(table, n, unforced_caps(n)))
-            assert threading.active_count() == before
-            error = call["error"]
-            assert isinstance(error, RuntimeError)
-            assert re.match(f"^sentinel in the {step}-group covers ", str(error))
-            met = (step - 2) // GROUP
-            assert {thread == call["caller"] for g, thread in two_workers if g == met} == {
-                worker == "caller"}
-            # One worker raises the same error.
-            with monkeypatch.context() as one_worker:
-                one_worker.setattr(fastpaths, "_DP_HELPER_MIN_ROWS", n + 1)
-                with pytest.raises(RuntimeError) as alone:
-                    fastpaths._family_dp(table, n, unforced_caps(n))
-            assert str(alone.value) == str(error)
-
-    @pytest.mark.parametrize("worker", [0, 1], ids=["caller", "helper"])
-    def test_interrupt_in_either_worker_stops_both(self, rng, monkeypatch, two_workers, worker):
-        # An interrupt raised in group 2 (the caller's) or 3 (the helper's) is
-        # raised in the caller, and the last group, 4, never runs.
-        n = 4 * GROUP + 3
-        assert (n - 1 + GROUP - 2) // GROUP == 5
-        table = random_group_table(rng, n, np.int64)
-        group = fastpaths._dp_group
-
-        def interrupted(*args):
-            if args[-2] == 2 + worker:
-                raise KeyboardInterrupt
-            return group(*args)
-
-        monkeypatch.setattr(fastpaths, "_dp_group", interrupted)
-        before = threading.active_count()
-        call = call_in_a_thread(lambda: fastpaths._family_dp(table, n, unforced_caps(n)))
-        assert threading.active_count() == before
-        assert isinstance(call["error"], KeyboardInterrupt)
-        assert 4 not in {g for g, _ in two_workers}
-
-    def test_concurrent_calls_under_frequent_switches(self, rng, monkeypatch, two_workers):
-        # Four callers, each with a helper, on fewer CPUs than threads; a
-        # 10-microsecond switch interval interleaves the workers' glue between
-        # numpy calls.  A block that read covers before they were final would
-        # change a value.
+    def test_concurrent_calls_under_frequent_switches(self, rng):
+        # The kernel shares no state between calls: four threads call it at
+        # once, and a 10-microsecond switch interval interleaves them between
+        # numpy calls.  A buffer or cover row one call could see of another
+        # would change a value.
         n = 4 * GROUP + 3
         caps = unforced_caps(n)
         tables = [random_group_table(rng, n, np.int64) for _ in range(4)]
-        with monkeypatch.context() as one_worker:
-            one_worker.setattr(fastpaths, "_DP_HELPER_MIN_ROWS", n + 1)
-            expected = [fastpaths._family_dp(table, n, caps).tolist() for table in tables]
+        expected = [fastpaths._family_dp(table, n, caps).tolist() for table in tables]
         results = [[] for _ in tables]
 
         def caller(i):
