@@ -6,24 +6,28 @@ Two families of shortcuts:
   iterate on block-constant vectors (supports may span millions of indices;
   work is polynomial in the number of runs);
 * one integer table tower, ``top_points``, for every level from 2 on, the
-  limit and both rules on explicit point supports, each stage charged to
-  the work budget before it runs, at the size of its full recurrence (an
-  upper bound on the steps its kernel makes).  Values are numerators
-  over one common denominator in the narrowest width a bound on them
-  certifies: int32, int64, or Python ints in an object array, widened as
-  the climb doubles them.  Each rung runs one max-plus partition kernel,
-  ``_family_dp``, per right end; the requested level runs it once.  A row
-  whose cap spans its whole window has one cover, each point its own group:
-  the kernel takes it from a suffix sum of the table's diagonal, checked for
-  sentinels, and runs its steps only up to the largest cap of the other
-  rows.  It runs them in groups: each group copies every block of table
-  rows (about 64 full rows' worth of entries, so narrower blocks have more
-  rows) once into a contiguous buffer, from the last block to the first,
-  and runs each step of the group on it as one numpy add and one row-wise
-  max, all on one thread.  The groups share one cover buffer: each block
-  copies its rows of the group's first covers from the previous group's
-  last step before it overwrites them.  The kernel checks every cover it
-  makes, so no sentinel can meet another sentinel.
+  limit and both rules on explicit point supports, each stage charged to the
+  work budget before it runs, at the size of its full recurrence (an upper
+  bound on the steps its kernel makes).  Values are numerators over one
+  common denominator in the narrowest width a bound on them certifies:
+  int32, int64, or Python ints in an object array, widened as the climb
+  doubles them.  The tower starts from the level-1 table, built in bulk:
+  every window sum from one broadcast difference of prefix sums, and a
+  per-element top-cap update only on the rows whose cap, at least 3, is
+  shorter than their window, and there only up to the column past which no
+  later point can enter the top (``_level1_table``).  Each rung runs one
+  max-plus partition kernel, ``_family_dp``, per right end; the requested
+  level runs it once.  A row whose cap spans its whole window has one cover,
+  each point its own group: the kernel takes it from a suffix sum of the
+  table's diagonal, checked for sentinels, and runs its steps only up to the
+  largest cap of the other rows.  It runs them in groups: each group copies
+  every block of table rows (about 64 full rows' worth of entries, so
+  narrower blocks have more rows) once into a contiguous buffer, from the
+  last block to the first, and runs each step of the group on it as one
+  numpy add and one row-wise max, all on one thread.  The groups share one
+  cover buffer: each block copies its rows of the group's first covers from
+  the previous group's last step before it overwrites them.  The kernel
+  checks every cover it makes, so no sentinel can meet another sentinel.
 
 Both Schreier maximisers are exact: the objective is piecewise linear in
 their scan parameter, and every breakpoint lands in the enumerated
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -290,25 +295,51 @@ def _dp_costs(caps: list[int]) -> list[int]:
     return costs
 
 
-def _g_table(pos: list[int], wq_arr: np.ndarray, s: int) -> np.ndarray:
-    """G[t, c] = sum of the min(pos[t], c-t+1) largest weights among points t..c."""
+def _level1_table(pos, wq_arr, s) -> np.ndarray:
+    """L1[u, c]: first-iterate value of points u..c, numerator over 2Q.
+
+    L1[u, c] = max over t in u..c of max(2 w[t], G[t, c]): either the sup
+    part at one point or a Schreier family whose first point is t, with
+    G[t, c] the sum of the min(pos[t], c-t+1) largest weights among points
+    t..c.  Built in one s x s array in the weights' dtype:
+
+    * every window sum at once, one broadcast difference of prefix sums: G
+      itself on the first pos[t] columns of row t, and on the whole row when
+      pos[t] spans its window;
+    * a clipped row t, with cap m = pos[t] below its window, keeps the top-m
+      multiset as the window grows, by classes of equal weights with ptr the
+      class of its smallest member.  Nothing changes from its stop column on,
+      the first column from which no later point's class exceeds the initial
+      ptr (a bisection of the negated suffix maximum of the classes), so the
+      loop runs only up to it and the rest of the row takes its last sum;
+    * a clipped row with a cap of at most 2 runs no loop: a sum of at most two
+      weights is at most the sup part 2 max w of the same window, which every
+      L1 entry holding it also holds, so its later entries keep the row's last
+      fill value (the literal rule's caps of 1 make the whole table 2 sup);
+    * the sup parts in one ``np.maximum`` with 2 w[t], then, from the bottom
+      row up, the sentinel below the diagonal and the running maximum over t.
+    """
+    prefix = np.zeros(s + 1, dtype=wq_arr.dtype)
+    np.cumsum(wq_arr, out=prefix[1:])
+    l1 = prefix[1:] - prefix[:s, None]
     values = sorted(set(wq_arr.tolist()))
     class_of = {v: i for i, v in enumerate(values)}
     classes = [class_of[v] for v in wq_arr.tolist()]
-    g = np.full((s, s), _sentinel(wq_arr), dtype=wq_arr.dtype)
+    neg_suffix_max = (-np.maximum.accumulate(classes[::-1])[::-1]).tolist()
     for t in range(s):
-        # Fill phase, the whole row if it is never clipped: running sums.
-        m = min(pos[t], s - t)
-        np.cumsum(wq_arr[t:t + m], out=g[t, t:t + m])
-        if m == s - t:
+        fill = t + pos[t]
+        if fill >= s:
             continue
-        # Maintenance phase: keep the top-m multiset as the window grows; ptr
-        # is the class of its smallest member.
-        counts = np.bincount(classes[t:t + m], minlength=len(values)).tolist()
-        ptr = min(classes[t:t + m])
-        gsum = int(g[t, t + m - 1])
+        if pos[t] <= 2:
+            l1[t, fill:] = l1[t, fill - 1]
+            continue
+        window = classes[t:fill]
+        ptr = min(window)
+        stop = max(fill, bisect_left(neg_suffix_max, -ptr))
+        counts = np.bincount(window, minlength=len(values)).tolist()
+        gsum = int(l1[t, fill - 1])
         row = []
-        for ci in classes[t + m:]:
+        for ci in classes[fill:stop]:
             if ci > ptr:
                 gsum += values[ci] - values[ptr]
                 counts[ci] += 1
@@ -316,24 +347,14 @@ def _g_table(pos: list[int], wq_arr: np.ndarray, s: int) -> np.ndarray:
                 while counts[ptr] == 0:
                     ptr += 1
             row.append(gsum)
-        g[t, t + m:] = row
-    return g
-
-
-def _level1_table(pos, wq_arr, s) -> np.ndarray:
-    """L1[u, c]: first-iterate value of points u..c, numerator over 2Q.
-
-    L1[u, c] = max over t in u..c of max(2 w[t], G[t, c]): either the sup
-    part at one point or a Schreier family whose first point is t.  Built in
-    place in the G table, one row at a time from the bottom; the lower
-    triangle keeps G's sentinel.
-    """
-    l1 = _g_table(pos, wq_arr, s)
-    for u in range(s - 1, -1, -1):
-        row = l1[u, u:]
-        np.maximum(row, 2 * wq_arr[u], out=row)
-        if u + 1 < s:
-            np.maximum(row, l1[u + 1, u:], out=row)
+        l1[t, fill:stop] = row
+        l1[t, stop:] = gsum
+    np.maximum(l1, 2 * wq_arr[:, None], out=l1)
+    sentinel = _sentinel(wq_arr)
+    for u in range(s - 1, 0, -1):
+        l1[u, :u] = sentinel
+        row = l1[u - 1, u:]
+        np.maximum(row, l1[u, u:], out=row)
     return l1
 
 

@@ -12,6 +12,9 @@ import itertools
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from . import fastpaths
 from .norms import Iterate, NormSpec, iterate_norm, norm_eval
@@ -152,6 +155,30 @@ def _sum_structural_bound(sched: Schedule) -> Fraction:
     return Fraction(1, 2) * (1 + Fraction(1, sched.m[0]))
 
 
+def _exhaustive_schreier_max(runs, max_index: int) -> Fraction:
+    """Best Schreier-admissible sum of ``runs`` by trying every cardinality.
+
+    One numpy pass over every n in 1..max_index: the optimum for n takes the
+    n largest coefficients among indices >= n, so each run, in value order,
+    gives min(its width past n, what is still to take), and n is feasible
+    when nothing is left to take.  Numerators over the runs' lcm, in int64,
+    or in Python ints once the largest numerator times max_index, a bound on
+    every sum, reaches 2**62.  Kept apart from ``fastpaths._greedy_value``,
+    which values the primary scan's candidate n one at a time.
+    """
+    q = lcm(*(w.denominator for _, _, w in runs))
+    nums = [w.numerator * (q // w.denominator) for _, _, w in runs]
+    dtype = object if max(nums, default=0) * max_index >= 1 << 62 else np.int64
+    n = np.arange(1, max_index + 1)
+    left = n.copy()
+    total = np.zeros(max_index, dtype=dtype)
+    for num, (start, end, _) in sorted(zip(nums, runs), key=lambda pair: -pair[0]):
+        take = np.minimum(np.maximum(end + 1 - np.maximum(n, start), 0), left)
+        left -= take
+        total += take.astype(dtype) * num
+    return Fraction(int(total[left == 0].max(initial=0)), q)
+
+
 def _level1_cross_checked(x: FiniteVector) -> tuple[Fraction, tuple[str, ...]]:
     """First iterate via the primary scan plus independent re-evaluations."""
     runs = [(s, e, abs(v)) for s, e, v in x.runs]
@@ -162,13 +189,7 @@ def _level1_cross_checked(x: FiniteVector) -> tuple[Fraction, tuple[str, ...]]:
         raise AssertionError(f"level-1 cross-check failed: {value} vs {alt}")
     checks.append("anchor-scan")
     if x.max_index <= _EXHAUSTIVE_MAXPOS:
-        order = sorted(range(len(runs)), key=lambda j: (-runs[j][2], runs[j][0]))
-        best = Fraction(0)
-        for n in range(1, x.max_index + 1):
-            g = fastpaths._greedy_value(runs, order, n)
-            if g is not None and g > best:
-                best = g
-        exhaustive = max(sup_norm(x), best / 2)
+        exhaustive = max(sup_norm(x), _exhaustive_schreier_max(runs, x.max_index) / 2)
         if exhaustive != value:
             raise AssertionError("level-1 exhaustive check failed")
         checks.append("exhaustive-scan")

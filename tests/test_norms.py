@@ -31,6 +31,7 @@ from tsirnorm import (
 from tsirnorm import fastpaths
 from tsirnorm.engine import SmallEvaluator
 from tsirnorm.norms import cheap_lower_bound
+from tsirnorm.witnesses import _exhaustive_schreier_max
 
 from conftest import random_vector
 
@@ -513,14 +514,26 @@ class TestFastPathAgreement:
                 runs.append((posn, posn + width - 1,
                              F(rng.randint(1, 9), rng.randint(1, 9))))
                 posn += width
-            order = sorted(range(len(runs)), key=lambda j: (-runs[j][2], runs[j][0]))
-            best = F(0)
-            for n in range(1, runs[-1][1] + 1):
-                g = fastpaths._greedy_value(runs, order, n)
-                if g is not None and g > best:
-                    best = g
+            best = fraction_scan(runs, runs[-1][1])
             assert fastpaths.schreier_max_runs(runs) == best
             assert fastpaths.schreier_max_runs_alt(runs) == best
+            assert _exhaustive_schreier_max(runs, runs[-1][1]) == best
+
+    @pytest.mark.parametrize("top", [2 ** 62 // 11, 2 ** 62 // 11 + 1, 2 ** 61, 2 ** 70])
+    def test_exhaustive_scan_past_int64(self, top):
+        # Integer weights, so the largest numerator is top and the width bound
+        # is 11 * top: just below 2**62 (int64), just past it (Python ints),
+        # and two cases whose sums (6 points: about 4.5 * top) would leave
+        # int64.
+        runs = [(2, 4, F(top)), (5, 8, F(top - 1)), (9, 11, F(top // 2))]
+        assert _exhaustive_schreier_max(runs, 11) == fraction_scan(runs, 11)
+
+
+def fraction_scan(runs, max_index):
+    """Best Schreier sum over every cardinality, one Fraction greedy each."""
+    order = sorted(range(len(runs)), key=lambda j: (-runs[j][2], runs[j][0]))
+    values = (fastpaths._greedy_value(runs, order, n) for n in range(1, max_index + 1))
+    return max((v for v in values if v is not None), default=F(0))
 
 
 WIDTHS = (np.int32, np.int64, object)
@@ -585,6 +598,34 @@ def per_element_g_table(pos, wq, s, sentinel):
                     ptr += 1
             g[t][c] = gsum
     return g
+
+
+def per_element_level1(pos, wq, s, sentinel):
+    """L1 table one element at a time: the running maximum over first points
+    t of max(2 w[t], G[t, c]), the sentinel below the diagonal."""
+    g = per_element_g_table(pos, wq, s, sentinel)
+    l1 = [[sentinel] * s for _ in range(s)]
+    for c in range(s):
+        best = sentinel
+        for u in range(c, -1, -1):
+            best = max(best, 2 * wq[u], g[u][c])
+            l1[u][c] = best
+    return l1
+
+
+def stop_places(pos, wq):
+    """Where each clipped row of cap >= 3 stops its top-cap updates: "before"
+    when no point past its fill exceeds the fill's smallest weight, "end"
+    when the last point does, else "inside"."""
+    s = len(wq)
+    places = set()
+    for t in range(s):
+        fill = t + pos[t]
+        if pos[t] >= 3 and fill < s:
+            low = min(wq[t:fill])
+            later = [c for c in range(fill, s) if wq[c] > low]
+            places.add("before" if not later else "end" if later[-1] == s - 1 else "inside")
+    return places
 
 
 def random_group_table(rng, n, dtype):
@@ -804,15 +845,33 @@ class TestFamilyKernel:
 
     @pytest.mark.parametrize("s", [1, 7, 40, 90])
     def test_g_table_matches_per_element_loop(self, rng, s):
-        # Small first indices clip the early rows; weights repeat but take
-        # many distinct values.
+        # The G table shows through the level-1 table: weights in a narrow
+        # band make a sum of three or more beat the sup part 2 max w.  Caps of
+        # 1, 2 and 3 alone and mixed, and increasing first indices; weight
+        # shapes whose clipped rows stop before, inside and at the end.
+        places = set()
         for dtype in WIDTHS:
-            pos = sorted(rng.sample(range(1, s + 6), s))
-            wq = [rng.randint(1, 40) for _ in range(s)]
-            wq_arr = np.array(wq, dtype=dtype)
-            g = fastpaths._g_table(pos, wq_arr, s)
-            assert g.dtype == dtype
-            assert g.tolist() == per_element_g_table(pos, wq, s, fastpaths._sentinel(wq_arr))
+            for caps in ("1", "2", "3", "mixed", "index"):
+                for shape in ("band", "falling tail", "rising"):
+                    if caps == "index":
+                        pos = sorted(rng.sample(range(1, s + 6), s))
+                    elif caps == "mixed":
+                        pos = [rng.choice([1, 2, 3, rng.randint(1, s + 1)]) for _ in range(s)]
+                    else:
+                        pos = [int(caps)] * s
+                    wq = [rng.randint(20, 24) for _ in range(s)]
+                    if shape == "falling tail":
+                        wq[s // 2:] = sorted(wq[s // 2:], reverse=True)
+                    elif shape == "rising":
+                        wq.sort()
+                    wq_arr = np.array(wq, dtype=dtype)
+                    l1 = fastpaths._level1_table(pos, wq_arr, s)
+                    assert l1.dtype == dtype
+                    sentinel = fastpaths._sentinel(wq_arr)
+                    assert l1.tolist() == per_element_level1(pos, wq, s, sentinel), (caps, shape)
+                    places |= stop_places(pos, wq)
+        if s >= 40:
+            assert places == {"before", "inside", "end"}
 
 
 class TestInvariants:
