@@ -13,9 +13,9 @@ Two families of shortcuts:
   int32, int64, or Python ints in an object array, widened as the climb
   doubles them.  The tower starts from the level-1 table, built in bulk:
   every window sum from one broadcast difference of prefix sums, and a
-  per-element top-cap update only on the rows whose cap, at least 3, is
-  shorter than their window, and there only up to the column past which no
-  later point can enter the top (``_level1_table``).  Each rung runs one
+  per-element top-cap update only on the rows whose cap is shorter than
+  their window, and there only up to the column past which no later point
+  can enter the top (``_level1_table``).  Each rung runs one
   max-plus partition kernel, ``_family_dp``, per right end; the requested
   level runs it once.  A row whose cap spans its whole window has one cover,
   each point its own group: the kernel takes it from a suffix sum of the
@@ -312,10 +312,6 @@ def _level1_table(pos, wq_arr, s) -> np.ndarray:
       the first column from which no later point's class exceeds the initial
       ptr (a bisection of the negated suffix maximum of the classes), so the
       loop runs only up to it and the rest of the row takes its last sum;
-    * a clipped row with a cap of at most 2 runs no loop: a sum of at most two
-      weights is at most the sup part 2 max w of the same window, which every
-      L1 entry holding it also holds, so its later entries keep the row's last
-      fill value (the literal rule's caps of 1 make the whole table 2 sup);
     * the sup parts in one ``np.maximum`` with 2 w[t], then, from the bottom
       row up, the sentinel below the diagonal and the running maximum over t.
     """
@@ -329,9 +325,6 @@ def _level1_table(pos, wq_arr, s) -> np.ndarray:
     for t in range(s):
         fill = t + pos[t]
         if fill >= s:
-            continue
-        if pos[t] <= 2:
-            l1[t, fill:] = l1[t, fill - 1]
             continue
         window = classes[t:fill]
         ptr = min(window)

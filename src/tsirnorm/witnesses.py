@@ -155,20 +155,26 @@ def _sum_structural_bound(sched: Schedule) -> Fraction:
     return Fraction(1, 2) * (1 + Fraction(1, sched.m[0]))
 
 
+def _scan_dtype(top: int, max_index: int):
+    """Width of the exhaustive scan: int64 while top * max_index, a bound on
+    every sum of at most max_index numerators of at most top, stays below
+    2**62; Python ints in an object array from there on."""
+    return object if top * max_index >= 1 << 62 else np.int64
+
+
 def _exhaustive_schreier_max(runs, max_index: int) -> Fraction:
     """Best Schreier-admissible sum of ``runs`` by trying every cardinality.
 
     One numpy pass over every n in 1..max_index: the optimum for n takes the
     n largest coefficients among indices >= n, so each run, in value order,
     gives min(its width past n, what is still to take), and n is feasible
-    when nothing is left to take.  Numerators over the runs' lcm, in int64,
-    or in Python ints once the largest numerator times max_index, a bound on
-    every sum, reaches 2**62.  Kept apart from ``fastpaths._greedy_value``,
+    when nothing is left to take.  Numerators over the runs' lcm, in the
+    width ``_scan_dtype`` picks.  Kept apart from ``fastpaths._greedy_value``,
     which values the primary scan's candidate n one at a time.
     """
     q = lcm(*(w.denominator for _, _, w in runs))
     nums = [w.numerator * (q // w.denominator) for _, _, w in runs]
-    dtype = object if max(nums, default=0) * max_index >= 1 << 62 else np.int64
+    dtype = _scan_dtype(max(nums, default=0), max_index)
     n = np.arange(1, max_index + 1)
     left = n.copy()
     total = np.zeros(max_index, dtype=dtype)

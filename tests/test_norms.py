@@ -28,7 +28,7 @@ from tsirnorm import (
     sup_norm,
     tsirelson_norm,
 )
-from tsirnorm import fastpaths
+from tsirnorm import fastpaths, witnesses
 from tsirnorm.engine import SmallEvaluator
 from tsirnorm.norms import cheap_lower_bound
 from tsirnorm.witnesses import _exhaustive_schreier_max
@@ -519,14 +519,25 @@ class TestFastPathAgreement:
             assert fastpaths.schreier_max_runs_alt(runs) == best
             assert _exhaustive_schreier_max(runs, runs[-1][1]) == best
 
-    @pytest.mark.parametrize("top", [2 ** 62 // 11, 2 ** 62 // 11 + 1, 2 ** 61, 2 ** 70])
-    def test_exhaustive_scan_past_int64(self, top):
+    @pytest.mark.parametrize("top, width", [
+        (2 ** 62 // 11, np.int64), (2 ** 62 // 11 + 1, object),
+        (2 ** 61, object), (2 ** 70, object)])
+    def test_exhaustive_scan_past_int64(self, monkeypatch, top, width):
         # Integer weights, so the largest numerator is top and the width bound
         # is 11 * top: just below 2**62 (int64), just past it (Python ints),
         # and two cases whose sums (6 points: about 4.5 * top) would leave
         # int64.
+        picked = []
+
+        def spy(*args):
+            picked.append(real(*args))
+            return picked[-1]
+
+        real = witnesses._scan_dtype
+        monkeypatch.setattr(witnesses, "_scan_dtype", spy)
         runs = [(2, 4, F(top)), (5, 8, F(top - 1)), (9, 11, F(top // 2))]
         assert _exhaustive_schreier_max(runs, 11) == fraction_scan(runs, 11)
+        assert picked == [width]
 
 
 def fraction_scan(runs, max_index):
